@@ -42,9 +42,6 @@ from .exact import (
     Polynomial,
     Rational,
     count_real_roots,
-    exp_poly_integral_0_inf,
-    factorial,
-    poly_product_collect,
     reciprocal_factorial,
 )
 from .montecarlo import (
@@ -65,10 +62,7 @@ __all__ = [
     "Rational",
     "Polynomial",
     "ExpPolySum",
-    "factorial",
     "reciprocal_factorial",
-    "exp_poly_integral_0_inf",
-    "poly_product_collect",
     "count_real_roots",
     "CoefficientTable",
     "HankelSystem",

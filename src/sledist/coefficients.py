@@ -134,7 +134,8 @@ class CoefficientTable:
     def __iter__(self):
         return iter(sorted(self.entries.items()))
 
-    # dict fields are unhashable; identity hash is fine for a frozen value used as a cache key
+    # dict fields are unhashable, so hash the content: equal tables from different
+    # engines must hash alike, as __eq__ compares entries
     def __hash__(self) -> int:
         return hash((self.K, self.N, tuple(sorted(self.nonzero().items()))))
 
@@ -156,13 +157,9 @@ class HankelSystem:
         n = self.K - 1
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ConsistencyError("moment matrix has wrong shape")
-        for r in range(n):
-            for s in range(n):
-                if self.entries[r][s] != l_poly(self.N - self.K + r + s):
-                    raise ConsistencyError(f"entry ({r},{s}) is not L_{{{self.N - self.K + r + s}}}")
 
     def determinant(self) -> ExpPolySum:
-        return _det_exppoly(self.entries)
+        return _det_bareiss(self.entries)
 
 
 @lru_cache(maxsize=None)
@@ -295,34 +292,120 @@ def closed_form_k3(N: int) -> CoefficientTable:
     return _full_rectangle(3, N, t)
 
 
-def _det_exppoly(rows: tuple[tuple[ExpPolySum, ...], ...]) -> ExpPolySum:
-    """Division-free determinant over the ExpPolySum ring.
+def _pack(coeffs: list[int], width: int) -> int:
+    """Kronecker substitution: the polynomial's value at x = 2^(8*width).
 
-    Dynamic programming over column subsets: minor(S) is the determinant of
-    the submatrix on rows 0..|S|-1 and columns S, built by expanding along the
-    last row.  O(2^n * n) ring multiplications for an n x n matrix, far below
-    the n! of naive cofactor recursion, and no divisions ever occur.
+    Every |c| must be below 2^(8*width).  Positive and negative parts are laid
+    out as two byte strings, so packing takes linear time.
     """
-    n = len(rows)
-    one = ExpPolySum({0: Polynomial([1])})
-    minors: dict[int, ExpPolySum] = {0: one}
-    for r in range(n):
-        nxt: dict[int, ExpPolySum] = {}
-        for subset, sub_det in minors.items():
-            # insert each unused column c; its position among set bits fixes the sign
-            for c in range(n):
-                bit = 1 << c
-                if subset & bit:
-                    continue
-                grown = subset | bit
-                pos = bin(grown & (bit - 1)).count("1")
-                term = rows[r][c] * sub_det
-                if (r + pos) % 2:
-                    term = -term
-                acc = nxt.get(grown)
-                nxt[grown] = term if acc is None else acc + term
-        minors = nxt
-    return minors[(1 << n) - 1]
+    pos = b"".join(max(c, 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, width: int) -> list[int]:
+    """Inverse of :func:`_pack` for coefficients below 2^(8*width - 1) in absolute value.
+
+    Adding 2^(8*width - 1) to every digit makes all digits nonnegative, so a
+    single ``to_bytes`` splits the value in linear time.  Digits past the
+    degree come out as zeros.
+    """
+    digits = value.bit_length() // (8 * width) + 2
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * digits, "little")
+    raw = (value + offset).to_bytes(width * digits, "little")
+    return [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, len(raw), width)]
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+
+    While the matrix allows it, elimination takes two steps at a time
+    (Bareiss's two-step method): with ``prev`` the leading minor of order k,
+    Sylvester's identity makes each entry after the step, a minor of order
+    k+3, equal to a 3x3 determinant of current entries divided by ``prev^2``,
+    exactly.  The first two-step divides by 1, so for a 3x3 matrix no
+    division happens at all.  A singular 2x2 pivot block, or a last odd step,
+    falls back to one step, which divides by ``prev``; a zero pivot is
+    replaced by a lower row.
+    """
+    n = len(m)
+    sign, prev, k = 1, 1, 0
+    while k < n - 1:
+        if k + 2 < n:
+            a, b, c, d = m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1]
+            block = a * d - b * c
+            if block:
+                row_k, row_k1, cols, divisor = m[k], m[k + 1], range(k + 2, n), prev * prev
+                # cofactors along the 3x3 determinants' last row; they depend on the column only
+                u = [b * row_k1[j] - row_k[j] * d for j in cols]
+                v = [a * row_k1[j] - row_k[j] * c for j in cols]
+                for row in m[k + 2 :]:
+                    left, right = row[k], row[k + 1]
+                    for j, uj, vj in zip(cols, u, v):
+                        row[j] = (left * uj - right * vj + row[j] * block) // divisor
+                prev = block // prev
+                k += 2
+                continue
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+        k += 1
+    return sign * m[-1][-1]
+
+
+def _det_bareiss(rows: tuple[tuple[ExpPolySum, ...], ...]) -> ExpPolySum:
+    """Determinant over the ExpPolySum ring, for entries with integer coefficients.
+
+    With y = e^(-x) each entry is a polynomial in x and y over Z, and the
+    determinant is one of y-degree at most d, the sum over rows of the largest
+    decay rate.  Each coefficient is at most the product of the rows' sums of
+    entry coefficient 1-norms (a permanent bound), which fixes a digit width
+    w.  For y = 0..d the entries are evaluated at x = 2^(8w) (Kronecker
+    substitution) and the integer determinant is taken by Bareiss
+    elimination, which is elimination over Z[x] with one big-integer product
+    per polynomial product.  Lagrange interpolation in y runs on those
+    integers, and unpacking the digits gives the coefficient of each e^(-m*x).
+    """
+    if any(c.denominator != 1 for row in rows for e in row for p in e.terms.values() for c in p):
+        raise ConsistencyError("determinant engine needs integer coefficients")
+    ints = [[{m: [c.numerator for c in p] for m, p in e.terms.items()} for e in row] for row in rows]
+    bound = math.prod(sum(sum(abs(c) for p in e.values() for c in p) for e in row) for row in ints)
+    if not bound:
+        return ExpPolySum()
+    width = (bound.bit_length() + 9) // 8
+    packed = [[{m: _pack(p, width) for m, p in e.items()} for e in row] for row in ints]
+    d = sum(max(max(e, default=0) for e in row) for row in ints)
+    values = [
+        _bareiss([[sum(v * y**m for m, v in e.items()) for e in row] for row in packed])
+        for y in range(d + 1)
+    ]
+    # d! times the Lagrange basis polynomial of node t is scale_t * prod_{s != t} (y - s)
+    combined = [0] * (d + 1)
+    for t, value in enumerate(values):
+        basis = [1]
+        for s in range(d + 1):
+            if s != t:
+                basis = [lo - s * hi for lo, hi in zip([0] + basis, basis + [0])]
+        scale = (-1) ** (d - t) * math.comb(d, t)
+        for m, c in enumerate(basis):
+            combined[m] += c * scale * value
+    terms = {}
+    for m, total in enumerate(combined):
+        coeff_at_x, rest = divmod(total, math.factorial(d))
+        if rest:
+            raise ConsistencyError("determinant values are not a polynomial in e^(-x)")
+        terms[m] = Polynomial(_unpack(coeff_at_x, width))
+    return ExpPolySum(terms)
 
 
 def hankel_system(K: int, N: int) -> HankelSystem:

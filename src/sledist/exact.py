@@ -21,10 +21,7 @@ __all__ = [
     "Rational",
     "Polynomial",
     "ExpPolySum",
-    "factorial",
     "reciprocal_factorial",
-    "exp_poly_integral_0_inf",
-    "poly_product_collect",
     "count_real_roots",
 ]
 
@@ -34,17 +31,6 @@ __all__ = [
 Rational = Fraction
 
 RationalLike = Fraction | int
-
-
-def factorial(n: int) -> Fraction:
-    """Exact ``n!`` as a rational.
-
-    Raises ``ValueError`` for negative ``n``; see :func:`reciprocal_factorial`
-    for the convention used where a summation limit runs past zero.
-    """
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return Fraction(math.factorial(n))
 
 
 def reciprocal_factorial(n: int) -> Fraction:
@@ -210,20 +196,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def poly_product_collect(ps: list[Polynomial]) -> Polynomial:
-    """Exact product of one or more polynomials with coefficient collection.
-
-    The coefficient of ``x**i`` in the result is the nested convolution of the
-    factors' coefficients, collected one factor at a time.
-    """
-    if not ps:
-        raise ValueError("poly_product_collect requires at least one polynomial")
-    acc = ps[0]
-    for p in ps[1:]:
-        acc = acc * p
-    return acc
-
-
 class ExpPolySum:
     """Finite sum ``sum_m exp(-m*x) * P_m(x)`` with polynomial coefficients.
 
@@ -307,12 +279,6 @@ class ExpPolySum:
     def scale(self, factor: RationalLike) -> "ExpPolySum":
         return ExpPolySum({m: p.scale(factor) for m, p in self._terms.items()})
 
-    def scale_decay(self, extra: int) -> "ExpPolySum":
-        """Multiply by ``exp(-extra*x)``."""
-        if extra < 0:
-            raise ValueError("decay shift must be nonnegative")
-        return ExpPolySum({m + extra: p for m, p in self._terms.items()})
-
     def integral_0_inf(self) -> Fraction:
         """Exact ``integral_0^inf`` of the sum.
 
@@ -339,11 +305,6 @@ class ExpPolySum:
             return "ExpPolySum(0)"
         parts = [f"e^(-{m}x)*({p!r})" for m, p in sorted(self._terms.items())]
         return "ExpPolySum(" + " + ".join(parts) + ")"
-
-
-def exp_poly_integral_0_inf(f: ExpPolySum) -> Fraction:
-    """Exact integral of ``f`` over ``[0, inf)``; see :meth:`ExpPolySum.integral_0_inf`."""
-    return f.integral_0_inf()
 
 
 def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

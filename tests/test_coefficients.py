@@ -12,6 +12,7 @@ from sledist import (
     CoefficientTable,
     ConsistencyError,
     ExpPolySum,
+    HankelSystem,
     Polynomial,
     ResourceLimitError,
     closed_form_k2,
@@ -24,7 +25,7 @@ from sledist import (
     table_from_json,
     table_to_json,
 )
-from sledist.coefficients import MAX_KN, index_upper
+from sledist.coefficients import MAX_KN, _pack, _unpack, index_upper
 
 from conftest import EXACT_CONFIGS, cached_table
 
@@ -125,7 +126,9 @@ def test_engine_matches_k2_closed_form(N):
 
 @pytest.mark.parametrize("N", range(3, 31))
 def test_engine_matches_k3_closed_form(N):
-    assert hankel_coeffs(3, N).entries == closed_form_k3(N).entries
+    engine, closed = hankel_coeffs(3, N), closed_form_k3(N)
+    assert engine.entries == closed.entries
+    assert hash(engine) == hash(closed)
 
 
 def _five_term_expansion(N):
@@ -148,6 +151,83 @@ def test_k3_determinant_equals_two_by_two_expansion():
     for N in (3, 5, 9):
         L1, L2, L3 = l_poly(N - 1), l_poly(N - 2), l_poly(N - 3)
         assert hankel_system(3, N).determinant() == L1 * L3 - L2 * L2
+
+
+def _det_exppoly(rows):
+    """Division-free determinant over the ExpPolySum ring: the test oracle.
+
+    Dynamic programming over column subsets: minor(S) is the determinant of
+    the submatrix on rows 0..|S|-1 and columns S, built by expanding along the
+    last row.  O(2^n * n) ring multiplications for an n x n matrix.
+    """
+    n = len(rows)
+    minors = {0: ExpPolySum({0: Polynomial([1])})}
+    for r in range(n):
+        nxt = {}
+        for subset, sub_det in minors.items():
+            # insert each unused column c; its position among set bits fixes the sign
+            for c in range(n):
+                bit = 1 << c
+                if subset & bit:
+                    continue
+                grown = subset | bit
+                pos = bin(grown & (bit - 1)).count("1")
+                term = rows[r][c] * sub_det
+                if (r + pos) % 2:
+                    term = -term
+                acc = nxt.get(grown)
+                nxt[grown] = term if acc is None else acc + term
+        minors = nxt
+    return minors[(1 << n) - 1]
+
+
+@pytest.mark.parametrize(
+    "K,N", [(K, N) for K in range(2, 7) for N in (K, K + 1, K + 4, 2 * K + 5, 20)] + [(8, 8)]
+)
+def test_determinant_matches_subset_dp(K, N):
+    sys = hankel_system(K, N)
+    assert sys.determinant() == _det_exppoly(sys.entries)
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(8, 8)])
+def test_table_matches_subset_dp_table(K, N, monkeypatch):
+    engine = hankel_coeffs(K, N)
+    monkeypatch.setattr(HankelSystem, "determinant", lambda self: _det_exppoly(self.entries))
+    assert engine == hankel_coeffs(K, N)
+
+
+def test_determinant_pivots_past_zero_entries():
+    # zero pivots force row swaps, singular 2x2 pivot blocks force single
+    # elimination steps, and an all-zero matrix has no pivot at all
+    zero, a, b, c = ExpPolySum(), l_poly(1), l_poly(2), l_poly(3)
+    for rows in (
+        ((zero, a), (a, b)),
+        ((zero, a, b), (a, b, c), (b, c, zero)),
+        ((zero, zero, a), (zero, b, c), (a, c, b)),
+        ((a, b, c), (a, b, a), (c, a, b)),
+        ((a, b, c, a), (b, c, a, b), (c, a, b, c), (a, b, c, zero)),
+        ((a, b, c, zero), (a, b, a, c), (b, zero, c, a), (c, a, zero, b)),
+        ((zero, zero), (zero, zero)),
+    ):
+        sys = HankelSystem(K=len(rows) + 1, N=len(rows) + 1, entries=rows)
+        assert sys.determinant() == _det_exppoly(rows)
+
+
+def test_determinant_rejects_fractional_entries():
+    half = ExpPolySum({1: Polynomial([F(1, 2)])})
+    with pytest.raises(ConsistencyError):
+        HankelSystem(K=2, N=2, entries=((half,),)).determinant()
+
+
+def test_coefficient_table_k10_builds_and_normalizes():
+    assert coefficient_table(10, 10).normalization() == 1
+
+
+@given(st.lists(st.integers(-(2**63) + 1, 2**63 - 1), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_pack_unpack_round_trip(coeffs):
+    got = _unpack(_pack(coeffs, 8), 8)
+    assert got[: len(coeffs)] == coeffs and not any(got[len(coeffs) :])
 
 
 @given(st.integers(2, 9))

@@ -11,9 +11,6 @@ from sledist import (
     ExpPolySum,
     Polynomial,
     count_real_roots,
-    exp_poly_integral_0_inf,
-    factorial,
-    poly_product_collect,
     reciprocal_factorial,
 )
 
@@ -21,17 +18,6 @@ rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
 small_polys = st.lists(rationals, min_size=0, max_size=6).map(Polynomial)
-
-
-def test_factorial_basic():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert isinstance(factorial(3), F)
-
-
-def test_factorial_negative_rejected():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_reciprocal_factorial_negative_is_zero():
@@ -91,13 +77,6 @@ def test_addition_commutes(p, q):
     assert p + q == q + p
 
 
-def test_poly_product_collect_matches_pairwise():
-    ps = [Polynomial([1, 1]), Polynomial([2, 0, 1]), Polynomial([-3, 4])]
-    assert poly_product_collect(ps) == (ps[0] * ps[1]) * ps[2]
-    with pytest.raises(ValueError):
-        poly_product_collect([])
-
-
 def test_exppolysum_drops_zero_polys_and_validates():
     f = ExpPolySum({1: Polynomial(), 2: Polynomial([1])})
     assert f.decay_rates() == [2]
@@ -114,7 +93,7 @@ def test_exppolysum_product_adds_decay_rates():
 def test_exppolysum_integral_closed_form():
     # int_0^inf x^k e^(-m x) dx = k!/m^(k+1)
     f = ExpPolySum({2: Polynomial([0, 0, 1])})
-    assert exp_poly_integral_0_inf(f) == F(2, 8)
+    assert f.integral_0_inf() == F(2, 8)
     g = ExpPolySum({1: Polynomial([1]), 3: Polynomial([0, 5])})
     assert g.integral_0_inf() == 1 + F(5, 9)
 
@@ -132,11 +111,6 @@ def test_exppolysum_nonintegrable_rejected():
 def test_integral_is_linear(t1, t2):
     f, g = ExpPolySum(t1), ExpPolySum(t2)
     assert (f + g).integral_0_inf() == f.integral_0_inf() + g.integral_0_inf()
-
-
-def test_exppolysum_scale_decay():
-    f = ExpPolySum({1: Polynomial([1])})
-    assert f.scale_decay(2).terms == {3: Polynomial([1])}
 
 
 def test_count_real_roots():
