@@ -32,7 +32,7 @@ import numpy as np
 
 from .backends import Backend, get_backend
 from .coefficients import CoefficientTable, ConsistencyError
-from .exact import Polynomial, Rational, reciprocal_factorial
+from .exact import Polynomial, Rational
 
 __all__ = [
     "PiecewisePolynomial",
@@ -166,8 +166,10 @@ class PiecewisePolynomial:
     def _model(self, t: int) -> _HornerModel | _ChebModel:
         model = self._models.get(t)
         if model is None:
+            # Python floats, not numpy scalars: the mass bound may overflow to
+            # inf, which numpy would report as a RuntimeWarning
             model = _build_segment_model(
-                self.segments[t], self._bps_float[t], self._bps_float[t + 1]
+                self.segments[t], float(self._bps_float[t]), float(self._bps_float[t + 1])
             )
             self._models[t] = model
         return model
@@ -316,92 +318,67 @@ def build_sle_pdf(table: CoefficientTable) -> PiecewisePolynomial:
 
     Each table entry (i, j) contributes
         (KN-1)!/K^(KN-1) * i^e/e! * c_{i,j} * x^j * (K/i - x)^e,  e = KN-j-2,
-    gated to x <= K/i.  On [K/(m+1), K/m) exactly the blocks i <= m are active,
-    so the gate disappears into the segment structure.
+    gated to x <= K/i.  Since i^e * (K/i - x)^e = (K - i*x)^e, block i is
+        pref * sum_j (c_{i,j}/e_j!) * x^j * (K - i*x)^(e_j),  pref = (KN-1)!/K^(KN-1).
+    The weights c_{i,j}/e_j! are put over one common denominator den, so the
+    binomial expansion runs on integers: term t of (K - i*x)^e is
+    C(e, t) * K^(e-t) * (-i)^t, reached from its predecessor by multiplying by
+    (e-t)*(-i) and dividing exactly by (t+1)*K.  Each accumulated integer
+    becomes a Fraction once, scaled by pref/den.
+
+    On [K/(m+1), K/m) exactly the blocks i <= m are active, so the gate
+    disappears into the segment structure: each segment is the previous one
+    plus one block.  Block K is gated at x <= 1 and never enters a segment.
     """
     K, N = table.K, table.N
     KN = K * N
     pref = Fraction(math.factorial(KN - 1), K ** (KN - 1))
-    per_block: dict[int, Polynomial] = {}
-    for i in range(1, K + 1):
-        acc: dict[int, Fraction] = {}
-        for (ii, j), c in table.entries.items():
-            if ii != i or not c:
-                continue
-            e = KN - j - 2
-            if e < 0:
-                raise ConsistencyError(
-                    f"entry (i={i}, j={j}) implies negative exponent {e} for K={K}, N={N}"
-                )
-            w = pref * c * Fraction(i**e, math.factorial(e))
-            # binomial expansion of (K/i - x)^e, term t carrying x^(j+t)
-            Ki = Fraction(K, i)
-            b = Ki**e
-            for t in range(e + 1):
-                acc[j + t] = acc.get(j + t, Fraction(0)) + (w * b if t % 2 == 0 else -w * b)
-                if t < e:
-                    b = b * (e - t) / ((t + 1) * Ki)
-        deg = max(acc, default=0)
-        per_block[i] = Polynomial([acc.get(p, Fraction(0)) for p in range(deg + 1)])
-    bps = _sle_breakpoints(K)
+    weights: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(1, K + 1)}
+    for (i, j), c in table.entries.items():
+        if not c:
+            continue
+        e = KN - j - 2
+        if e < 0:
+            raise ConsistencyError(
+                f"entry (i={i}, j={j}) implies negative exponent {e} for K={K}, N={N}"
+            )
+        weights[i].append((j, c / math.factorial(e)))
     segments = []
-    for t in range(K - 1):
-        active = K - 1 - t
-        seg = Polynomial()
-        for i in range(1, active + 1):
-            seg = seg + per_block[i]
+    seg = Polynomial()
+    for i in range(1, K):
+        den = math.lcm(*(w.denominator for _, w in weights[i]))
+        acc = [0] * (KN - 1)
+        for j, w in weights[i]:
+            e = KN - j - 2
+            b = w.numerator * (den // w.denominator) * K**e
+            acc[j] += b
+            for t in range(e):
+                b = b * (e - t) * -i // ((t + 1) * K)
+                acc[j + t + 1] += b
+        scale = pref / den
+        seg = seg + Polynomial([scale * a for a in acc])
         segments.append(seg)
-    return PiecewisePolynomial(bps, segments)
+    segments.reverse()
+    return PiecewisePolynomial(_sle_breakpoints(K), segments)
 
 
-def build_sle_cdf(table: CoefficientTable) -> PiecewisePolynomial:
-    """CDF of X on [1, K], exact, with F(1) = 0 and F(K) = 1.
+def build_sle_cdf(pdf: PiecewisePolynomial) -> PiecewisePolynomial:
+    """CDF of X on [1, K] as the exact piecewise antiderivative of the density.
 
-    Antiderivative of each gated density block: while y is below the gate K/i
-    the block contributes a polynomial C(y); at and beyond the gate it is
-    frozen at C(K/i).  Subtracting every block's value at y = 1 anchors
-    F(1) = 0.  The reciprocal-factorial-zero convention lets the inner series
-    run to q = KN-j-1 verbatim.
+    Each segment is the antiderivative of the PDF segment plus the constant
+    that makes it meet the running level at its left breakpoint; the level
+    starts at F(1) = 0 and is carried across every breakpoint, so the CDF is
+    continuous by construction.  F(K) = 1 is not imposed: ``SleDistribution``
+    checks it, independently of the derivation.
     """
-    K, N = table.K, table.N
-    KN = K * N
-    pref = Fraction(math.factorial(KN - 1), K ** (KN - 1))
-    block_poly: dict[int, Polynomial] = {}
-    block_frozen: dict[int, Fraction] = {}
-    base = Fraction(0)
-    for i in range(1, K + 1):
-        acc: dict[int, Fraction] = {}
-        for (ii, j), c in table.entries.items():
-            if ii != i or not c:
-                continue
-            e = KN - j - 2
-            w = pref * c * i**e
-            scale = Fraction(K, i) ** e
-            for q in range(KN - j):
-                rf = reciprocal_factorial(e - q)
-                if rf:
-                    coef = (
-                        w
-                        * scale
-                        * Fraction(-i, K) ** q
-                        * rf
-                        / (math.factorial(q) * (j + q + 1))
-                    )
-                    acc[q + j + 1] = acc.get(q + j + 1, Fraction(0)) + coef
-        deg = max(acc, default=0)
-        p = Polynomial([acc.get(k, Fraction(0)) for k in range(deg + 1)])
-        block_poly[i] = p
-        block_frozen[i] = p(Fraction(K, i))
-        base += p(Fraction(1))
-    bps = _sle_breakpoints(K)
+    bps = pdf.breakpoints
+    level = Fraction(0)
     segments = []
-    for t in range(K - 1):
-        active = K - 1 - t
-        seg = Polynomial()
-        for i in range(1, active + 1):
-            seg = seg + block_poly[i]
-        const = sum((block_frozen[i] for i in range(active + 1, K + 1)), Fraction(0)) - base
-        segments.append(seg + Polynomial([const]))
+    for t, seg in enumerate(pdf.segments):
+        anti = seg.antiderivative()
+        anti = anti + Polynomial([level - anti(bps[t])])
+        segments.append(anti)
+        level = anti(bps[t + 1])
     return PiecewisePolynomial(bps, segments, outside_low=Fraction(0), outside_high=Fraction(1))
 
 
@@ -464,7 +441,8 @@ class SleDistribution:
 
 def sle_distribution(table: CoefficientTable) -> SleDistribution:
     """Assemble and validate the full distribution for one coefficient table."""
-    return SleDistribution(table=table, pdf=build_sle_pdf(table), cdf=build_sle_cdf(table))
+    pdf = build_sle_pdf(table)
+    return SleDistribution(table=table, pdf=pdf, cdf=build_sle_cdf(pdf))
 
 
 def quantile(d: SleDistribution, p: float) -> float:

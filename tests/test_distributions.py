@@ -15,6 +15,7 @@ from sledist import (
     ConsistencyError,
     PiecewisePolynomial,
     Polynomial,
+    SleDistribution,
     TraceDistribution,
     build_sle_cdf,
     build_sle_pdf,
@@ -22,7 +23,7 @@ from sledist import (
     default_grid,
     lambda1_moment,
     quantile,
-    sle_distribution,
+    reciprocal_factorial,
     sle_moment,
     threshold_for_false_alarm,
     trace_moment,
@@ -31,6 +32,100 @@ from sledist import (
 )
 
 from conftest import EXACT_CONFIGS, cached_dist, cached_table
+
+
+# --- oracles: the earlier Fraction assembly and the paper's CDF series ----------
+
+
+def _binomial_pdf(table):
+    """Density by the Fraction binomial expansion of every (K/i - x)^e, block by block."""
+    K, N = table.K, table.N
+    KN = K * N
+    pref = F(math.factorial(KN - 1), K ** (KN - 1))
+    per_block = {}
+    for i in range(1, K + 1):
+        acc = {}
+        for (ii, j), c in table.entries.items():
+            if ii != i or not c:
+                continue
+            e = KN - j - 2
+            w = pref * c * F(i**e, math.factorial(e))
+            Ki = F(K, i)
+            b = Ki**e
+            for t in range(e + 1):
+                acc[j + t] = acc.get(j + t, F(0)) + (w * b if t % 2 == 0 else -w * b)
+                if t < e:
+                    b = b * (e - t) / ((t + 1) * Ki)
+        deg = max(acc, default=0)
+        per_block[i] = Polynomial([acc.get(p, F(0)) for p in range(deg + 1)])
+    segments = []
+    for t in range(K - 1):
+        seg = Polynomial()
+        for i in range(1, K - t):
+            seg = seg + per_block[i]
+        segments.append(seg)
+    return PiecewisePolynomial([F(K, i) for i in range(K, 0, -1)], segments)
+
+
+def _series_cdf(table):
+    """CDF by the paper's series: each gated block's antiderivative, frozen past K/i."""
+    K, N = table.K, table.N
+    KN = K * N
+    pref = F(math.factorial(KN - 1), K ** (KN - 1))
+    block_poly = {}
+    block_frozen = {}
+    base = F(0)
+    for i in range(1, K + 1):
+        acc = {}
+        for (ii, j), c in table.entries.items():
+            if ii != i or not c:
+                continue
+            e = KN - j - 2
+            w = pref * c * i**e
+            scale = F(K, i) ** e
+            for q in range(KN - j):
+                rf = reciprocal_factorial(e - q)
+                if rf:
+                    coef = w * scale * F(-i, K) ** q * rf / (math.factorial(q) * (j + q + 1))
+                    acc[q + j + 1] = acc.get(q + j + 1, F(0)) + coef
+        deg = max(acc, default=0)
+        p = Polynomial([acc.get(k, F(0)) for k in range(deg + 1)])
+        block_poly[i] = p
+        block_frozen[i] = p(F(K, i))
+        base += p(F(1))
+    segments = []
+    for t in range(K - 1):
+        active = K - 1 - t
+        seg = Polynomial()
+        for i in range(1, active + 1):
+            seg = seg + block_poly[i]
+        const = sum((block_frozen[i] for i in range(active + 1, K + 1)), F(0)) - base
+        segments.append(seg + Polynomial([const]))
+    return PiecewisePolynomial(
+        [F(K, i) for i in range(K, 0, -1)], segments, outside_low=0, outside_high=1
+    )
+
+
+# the (4, 100) oracles take about 10 s; (8, 8) adds a larger K
+ORACLE_CONFIGS = [c for c in EXACT_CONFIGS if c != (4, 100)] + [(8, 8)]
+
+
+@pytest.mark.parametrize("K,N", ORACLE_CONFIGS)
+def test_pdf_matches_binomial_oracle(K, N):
+    pdf = build_sle_pdf(cached_table(K, N))
+    oracle = _binomial_pdf(cached_table(K, N))
+    for seg, expected in zip(pdf.segments, oracle.segments, strict=True):
+        assert seg == expected
+    assert pdf == oracle
+
+
+@pytest.mark.parametrize("K,N", ORACLE_CONFIGS)
+def test_cdf_matches_series_oracle(K, N):
+    cdf = build_sle_cdf(build_sle_pdf(cached_table(K, N)))
+    oracle = _series_cdf(cached_table(K, N))
+    for seg, expected in zip(cdf.segments, oracle.segments, strict=True):
+        assert seg == expected
+    assert cdf == oracle
 
 
 # --- closed smallest case -----------------------------------------------------
@@ -158,10 +253,22 @@ def test_scaled_distribution_rejected():
     doubled = PiecewisePolynomial(
         d.pdf.breakpoints, [seg.scale(2) for seg in d.pdf.segments]
     )
-    from sledist import SleDistribution
-
     with pytest.raises(ConsistencyError):
         SleDistribution(table=d.table, pdf=doubled, cdf=d.cdf)
+
+
+def test_scaled_distribution_with_derived_cdf_rejected():
+    # the derived CDF is continuous and differentiates to the doubled PDF, so
+    # only the unit-mass and F(K) = 1 checks can catch it
+    d = cached_dist(2, 10)
+    doubled = PiecewisePolynomial(
+        d.pdf.breakpoints, [seg.scale(2) for seg in d.pdf.segments]
+    )
+    cdf = build_sle_cdf(doubled)
+    for cseg, pseg in zip(cdf.segments, doubled.segments):
+        assert cseg.derivative() == pseg
+    with pytest.raises(ConsistencyError):
+        SleDistribution(table=d.table, pdf=doubled, cdf=cdf)
 
 
 # --- float evaluation -------------------------------------------------------------
@@ -185,6 +292,15 @@ def test_cdf_monotone_on_dense_grid(K, N):
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_float_model_without_overflow_warning():
+    # the mass bound sum |a_k| 40^k overflows a double here; under the
+    # error::RuntimeWarning filter any overflow warning fails the test
+    pp = PiecewisePolynomial([1, 40], [Polynomial.monomial(200, F(1, 40**200))])
+    for x in (1.0, 7.5, 30.0, 39.0, 40.0):
+        exact = float(pp.value_exact(F(x)))
+        assert pp.eval(x) == pytest.approx(exact, abs=1e-13)
 
 
 def test_eval_rejects_nan():
