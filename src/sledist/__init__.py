@@ -5,7 +5,7 @@ standard complex Gaussian matrix.  Everything symbolic is exact rational
 arithmetic; floats appear only at evaluation boundaries.
 """
 
-from .backends import ENV_VAR, Backend, EigensolverError, available_backends, get_backend
+from .backends import Backend, EigensolverError, get_backend
 from .coefficients import (
     CoefficientTable,
     ConsistencyError,
@@ -101,7 +101,5 @@ __all__ = [
     "sample_metadata",
     "Backend",
     "EigensolverError",
-    "ENV_VAR",
-    "available_backends",
     "get_backend",
 ]

@@ -1,33 +1,18 @@
-"""Selection between the compiled (numba) and pure-numpy kernel implementations.
+"""The batched Hermitian eigensolver behind the Monte Carlo sampler.
 
-The environment variable ``SLEDIST_BACKEND`` picks the implementation:
-
-* ``auto`` (default): numba when importable, numpy otherwise
-* ``numba``: require the compiled kernels, error if numba is missing
-* ``numpy``: force the vectorized numpy kernels
-
-Both backends satisfy the same contracts; the numba eigensolver is a cyclic
-Jacobi iteration, the numpy one is LAPACK ``eigvalsh``.  Eigenvalues agree to
-relative 1e-10 or better, far inside the tolerance the sampling statistics
-need.
+One backend exists: numpy's LAPACK ``eigvalsh``.  ``get_backend`` returns it
+as a small object so callers can pass it around, and wraps a LAPACK failure
+in :class:`EigensolverError`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import _kernels
-
-__all__ = ["ENV_VAR", "Backend", "EigensolverError", "available_backends", "get_backend"]
-
-ENV_VAR = "SLEDIST_BACKEND"
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
+__all__ = ["Backend", "EigensolverError", "get_backend"]
 
 
 class EigensolverError(Exception):
@@ -38,67 +23,21 @@ class EigensolverError(Exception):
 class Backend:
     name: str
     eigvalsh_batch: Callable[[np.ndarray], np.ndarray]
-    horner_many: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-    barycentric_many: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _numpy_eigvalsh(mats: np.ndarray) -> np.ndarray:
+def _eigvalsh_batch(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a batch of Hermitian matrices via LAPACK."""
     try:
-        return _kernels.eigvalsh_batch_numpy(mats)
+        return np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"LAPACK eigvalsh failed on a batch of shape {mats.shape}: {exc}") from exc
 
 
-def _numba_eigvalsh(mats: np.ndarray) -> np.ndarray:
-    kernels = _kernels._compile_numba()
-    evals, sweeps = kernels["jacobi_eigvalsh_batch"](mats, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
-    stuck = np.nonzero(sweeps >= _JACOBI_MAX_SWEEPS)[0]
-    if stuck.size:
-        raise EigensolverError(
-            f"Jacobi iteration hit the sweep limit ({_JACOBI_MAX_SWEEPS}) on "
-            f"{stuck.size} of {mats.shape[0]} matrices (first indices {stuck[:5].tolist()}); "
-            f"matrix size {mats.shape[1]}"
-        )
-    return evals
-
-
-_NUMPY = Backend(
-    name="numpy",
-    eigvalsh_batch=_numpy_eigvalsh,
-    horner_many=_kernels.horner_many_numpy,
-    barycentric_many=_kernels.barycentric_many_numpy,
-)
-
-
-def _build_numba_backend() -> Backend:
-    kernels = _kernels._compile_numba()
-    return Backend(
-        name="numba",
-        eigvalsh_batch=_numba_eigvalsh,
-        horner_many=kernels["horner_many"],
-        barycentric_many=kernels["barycentric_many"],
-    )
-
-
-def available_backends() -> list[str]:
-    names = ["numpy"]
-    if _kernels.HAVE_NUMBA:
-        names.insert(0, "numba")
-    return names
+_NUMPY = Backend(name="numpy", eigvalsh_batch=_eigvalsh_batch)
 
 
 def get_backend(name: str | None = None) -> Backend:
-    """Resolve a backend by explicit name, environment variable, or auto."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    if name == "auto":
-        name = "numba" if _kernels.HAVE_NUMBA else "numpy"
-    if name == "numpy":
+    """The numpy backend, by default or by its name."""
+    if name is None or name == "numpy":
         return _NUMPY
-    if name == "numba":
-        if not _kernels.HAVE_NUMBA:
-            raise ValueError(
-                f"backend 'numba' requested via {ENV_VAR} but numba is not importable"
-            )
-        return _build_numba_backend()
-    raise ValueError(f"unknown backend {name!r}; expected auto, numba, or numpy")
+    raise ValueError(f"unknown backend {name!r}; expected numpy")

@@ -6,18 +6,21 @@ Given the coefficient table of the largest-eigenvalue density, the statistic
 
 has support [1, K] and a density that is a polynomial on each interval between
 consecutive breakpoints K/i (i = 1..K).  This module assembles those piecewise
-polynomials exactly, provides float evaluation with a certified accuracy model,
-and computes quantiles, detection thresholds, and exact rational moments, plus
+polynomials exactly, evaluates them in floats through one Chebyshev model per
+segment, and computes quantiles, detection thresholds, and exact rational moments, plus
 the Gamma-distributed normalized trace that links the SLE moments to the raw
 largest-eigenvalue moments.
 
-Float evaluation strategy: each segment polynomial is first re-centered on the
-segment midpoint by an exact Taylor shift.  If a rigorous bound on the float64
-Horner rounding error is small enough, the segment is evaluated directly in
-doubles; otherwise the exact polynomial is resampled at Chebyshev nodes in
-extended precision and evaluated by stable barycentric interpolation.  Exact
-rational arithmetic everywhere upstream guarantees the resampled values are
-correct; the fallback only controls evaluation rounding.
+Float evaluation: each segment gets one model, built on its first
+evaluation.  The exact segment polynomial is converted to a Chebyshev series on
+the segment in integer arithmetic, then chopped to the fewest terms whose
+dropped coefficients sum, exactly and in absolute value, to under 2.5e-14.  The
+model keeps the exact polynomial's values at the Chebyshev-Lobatto points of
+the chopped degree, each rounded once to a double, and evaluates by the
+second-form barycentric formula.  The interpolant lies within twice the dropped
+tail of the exact polynomial (Trefethen, Approximation Theory and Approximation
+Practice, Thm 4.2), and the barycentric formula is forward stable at these
+points (Higham, IMA J. Numer. Anal. 24, 2004).
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-import mpmath
 import numpy as np
 
-from .backends import Backend, get_backend
 from .coefficients import CoefficientTable, ConsistencyError
 from .exact import Polynomial, Rational
 
@@ -51,32 +52,12 @@ __all__ = [
     "write_distribution_csv",
 ]
 
-_EPS = 2.220446049250313e-16
-# a segment whose certified float64 Horner error exceeds this switches to the
-# extended-precision Chebyshev resampling path
-_HORNER_BOUND = 1e-13
+# absolute budget on the exact Chebyshev tail sum_{k>=n} |c_k| a segment may drop
+_CHOP_BUDGET = Fraction(2.5e-14)
+# points per barycentric block: a block's point-by-node matrix stays in cache
+_EVAL_CHUNK = 4096
 _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
-
-
-@dataclass(frozen=True, eq=False)
-class _HornerModel:
-    mid: float
-    coeffs_desc: np.ndarray  # highest power first, shifted basis
-
-
-@dataclass(frozen=True, eq=False)
-class _ChebModel:
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-
-def _safe_float(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 class PiecewisePolynomial:
@@ -107,7 +88,7 @@ class PiecewisePolynomial:
         self.outside_low = Fraction(outside_low)
         self.outside_high = Fraction(outside_high)
         self._bps_float = np.array([float(b) for b in bps])
-        self._models: dict[int, _HornerModel | _ChebModel] = {}
+        self._models: dict[int, _ChebModel] = {}
 
     @property
     def lower(self) -> Fraction:
@@ -163,23 +144,30 @@ class PiecewisePolynomial:
 
     # -- float evaluation ---------------------------------------------------
 
-    def _model(self, t: int) -> _HornerModel | _ChebModel:
+    def _model(self, t: int) -> _ChebModel:
         model = self._models.get(t)
         if model is None:
-            # Python floats, not numpy scalars: the mass bound may overflow to
-            # inf, which numpy would report as a RuntimeWarning
-            model = _build_segment_model(
-                self.segments[t], float(self._bps_float[t]), float(self._bps_float[t + 1])
-            )
+            try:
+                model = _chebyshev_model(
+                    self.segments[t], self.breakpoints[t], self.breakpoints[t + 1]
+                )
+            except OverflowError:
+                raise ValueError(
+                    f"segment {t} on [{self.breakpoints[t]}, {self.breakpoints[t + 1]}] "
+                    "takes values beyond the double range"
+                ) from None
             self._models[t] = model
         return model
 
-    def eval_many(self, xs: Iterable[float], backend: Backend | str | None = None) -> np.ndarray:
-        """Vectorized float evaluation; clamps outside the span, rejects NaN."""
+    def eval_many(self, xs: Iterable[float], backend: object = None) -> np.ndarray:
+        """Vectorized float evaluation; clamps outside the span, rejects NaN.
+
+        ``backend`` is accepted for existing callers and ignored: evaluation
+        has a single numpy path.
+        """
         arr = np.asarray(xs, dtype=np.float64)
         if np.isnan(arr).any():
             raise ValueError("cannot evaluate at NaN")
-        be = backend if isinstance(backend, Backend) else get_backend(backend)
         flat = arr.ravel()
         out = np.empty(flat.shape)
         lo, hi = self._bps_float[0], self._bps_float[-1]
@@ -194,115 +182,103 @@ class PiecewisePolynomial:
         vals = np.empty(pts.shape)
         for t in np.unique(idx):
             sel = idx == t
-            model = self._model(int(t))
-            if isinstance(model, _HornerModel):
-                vals[sel] = be.horner_many(model.coeffs_desc, model.mid, pts[sel])
-            else:
-                vals[sel] = be.barycentric_many(
-                    model.nodes, model.values, model.weights, pts[sel]
-                )
+            vals[sel] = self._model(int(t))(pts[sel])
         out[inside] = vals
         return out.reshape(arr.shape)
 
-    def eval(self, x: float, backend: Backend | str | None = None) -> float:
+    def eval(self, x: float) -> float:
         """Scalar float evaluation (same path as :meth:`eval_many`)."""
         if math.isnan(x):
             raise ValueError("cannot evaluate at NaN")
-        return float(self.eval_many(np.array([float(x)]), backend)[0])
+        return float(self.eval_many(np.array([float(x)]))[0])
 
     __call__ = eval
 
 
-# segments up to this degree get an exact midpoint Taylor shift (O(degree^2)
-# rational operations) before falling back; above it the shift costs more than
-# the extended-precision resampling it tries to avoid
-_SHIFT_DEGREE_LIMIT = 128
+@dataclass(frozen=True, eq=False)
+class _ChebModel:
+    """One segment's Chebyshev-Lobatto interpolant, evaluated in barycentric form."""
+
+    nodes: np.ndarray  # ascending; the first and last are the segment's float endpoints
+    values: np.ndarray  # the exact polynomial at each node, rounded once
+    weighted: np.ndarray  # columns w_k * values_k and w_k, w_k the barycentric weights
+    tail: Fraction  # exact sum of |c_k| over the dropped Chebyshev terms
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """Second-form barycentric formula; a point on a node returns that node's value."""
+        out = np.empty(xs.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in range(0, xs.size, _EVAL_CHUNK):
+                r = xs[start : start + _EVAL_CHUNK, None] - self.nodes
+                np.divide(1.0, r, out=r)
+                sums = r @ self.weighted
+                out[start : start + _EVAL_CHUNK] = sums[:, 0] / sums[:, 1]
+        # exactly on a node the sums are inf/inf; no other point gives NaN
+        hit = np.isnan(out)
+        if hit.any():
+            out[hit] = self.values[np.searchsorted(self.nodes, xs[hit])]
+        return out
 
 
-def _mass_and_floats(coeffs: list[Fraction], radius: float) -> tuple[float, list[float]]:
-    """sum |a_k| radius^k plus the float64 images of the coefficients (inf on overflow)."""
-    floats = [_safe_float(c) for c in coeffs]
-    mass = 0.0
-    rk = 1.0
-    for c in floats:
-        mass += abs(c) * rk
-        rk *= radius
-    return mass, floats
+def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:
+    """Chop the exact Chebyshev series of ``seg`` on [lo, hi] and sample it.
 
+    With x = (lo + hi)/2 + (hi - lo)/2 * u and Q the common denominator of lo
+    and hi, 4Q*x = P + H*(2u) for the integers P = 2Q(lo + hi), H = Q(hi - lo).
+    Writing seg = sum_k A_k x^k / D over integers, Horner's rule in the
+    Chebyshev basis of u, c <- (P + H*2u)*c + A_k*(4Q)^(d-k), with
+    2u*T_0 = 2T_1 and 2u*T_j = T_(j-1) + T_(j+1), gives
+    seg = sum_j c_j T_j(u) / (D*(4Q)^d) with every c_j an integer.
 
-def _mass_bits(coeffs: list[Fraction], radius: float) -> int:
-    """Upper bound on log2 of the cancellation mass, safe for astronomically large coefficients."""
-    log_r = math.log2(radius) if radius > 0 else 0.0
-    bits = max(
-        (c.numerator.bit_length() - c.denominator.bit_length()) + int(math.ceil(k * log_r))
-        for k, c in enumerate(coeffs)
-        if c
-    )
-    return max(0, bits + len(coeffs).bit_length() + 2)
-
-
-def _horner_bound(d: int, mass: float) -> float:
-    return _EPS * 2 * (d + 1) * mass * 1.0000001
-
-
-def _build_segment_model(seg: Polynomial, lo: float, hi: float) -> _HornerModel | _ChebModel:
-    """Pick the cheapest float model whose rounding error is certified small.
-
-    Three rungs, each with a rigorous error bound: plain Horner on the stored
-    coefficients when the global cancellation mass sum|a_k| x^k is tiny; exact
-    Taylor shift to the (float-snapped) segment midpoint for moderate degrees,
-    after which the recentral mass usually collapses and Horner applies; and
-    otherwise Chebyshev resampling of the exact polynomial in extended
-    precision, evaluated by stable barycentric interpolation.
+    The model keeps the fewest n >= 1 terms whose dropped tail
+    sum_(k>=n) |c_k| is under ``_CHOP_BUDGET`` and stores seg at the n + 1
+    Chebyshev-Lobatto points, each value one correctly rounded ``int / int``
+    (so F(K) = 1 reads exactly 1.0).  A value past the double range raises
+    OverflowError.
     """
-    coeffs = list(seg.coefficients) or [Fraction(0)]
+    coeffs = seg.coefficients or (Fraction(0),)
     d = len(coeffs) - 1
-    xmax = max(abs(lo), abs(hi)) * 1.0000001
-    mass, floats = _mass_and_floats(coeffs, xmax)
-    if math.isfinite(mass) and _horner_bound(d, mass) <= _HORNER_BOUND:
-        return _HornerModel(mid=0.0, coeffs_desc=np.array(floats[::-1]))
-    if d <= _SHIFT_DEGREE_LIMIT:
-        mid_f = lo + 0.5 * (hi - lo)
-        shifted = list(seg.compose_shift(Fraction(mid_f)).coefficients) or [Fraction(0)]
-        r = (hi - lo) * 0.5000001
-        s_mass, s_floats = _mass_and_floats(shifted, r)
-        if math.isfinite(s_mass) and _horner_bound(d, s_mass) <= _HORNER_BOUND:
-            return _HornerModel(mid=mid_f, coeffs_desc=np.array(s_floats[::-1]))
-        prec = 64 + (int(math.log2(s_mass)) + 1 if math.isfinite(s_mass) and s_mass > 0
-                     else _mass_bits(shifted, r))
-        return _cheb_model(shifted, mid_f, lo, hi, prec)
-    prec = 64 + (int(math.log2(mass)) + 1 if math.isfinite(mass) and mass > 0
-                 else _mass_bits(coeffs, xmax))
-    return _cheb_model(coeffs, 0.0, lo, hi, prec)
+    D = math.lcm(*(c.denominator for c in coeffs))
+    A = [c.numerator * (D // c.denominator) for c in coeffs]
+    Q = math.lcm(lo.denominator, hi.denominator)
+    P = int(2 * Q * (lo + hi))
+    H = int(Q * (hi - lo))
+    c = [A[d]]
+    scale = 1
+    for k in range(d - 1, -1, -1):
+        hc = [H * v for v in c]
+        from_above = hc[1:] + [0, 0]
+        from_below = [0, 2 * hc[0]] + hc[1:]
+        c = [P * v + a + b for v, a, b in zip(c + [0], from_above, from_below)]
+        scale *= 4 * Q
+        c[0] += A[k] * scale
+    den = D * scale
+    limit = _CHOP_BUDGET.numerator * den
+    n, tail = len(c), 0
+    while n > 1 and (tail + abs(c[n - 1])) * _CHOP_BUDGET.denominator < limit:
+        n -= 1
+        tail += abs(c[n])
 
-
-def _cheb_model(coeffs: list[Fraction], center: float, lo: float, hi: float, prec: int) -> _ChebModel:
-    """Resample the exact polynomial at Chebyshev points in extended precision.
-
-    ``coeffs`` is taken in powers of (x - center).  The working precision must
-    cover the cancellation mass of that basis; the caller supplies it.  Nodes
-    are float-exact, so evaluating at mpf(node) - center reproduces the exact
-    polynomial value to 2^-64 absolute, and the node count (degree + 1) makes
-    barycentric interpolation exact up to evaluation rounding.
-    """
-    d = max(len(coeffs) - 1, 1)
-    nodes = (lo + 0.5 * (hi - lo)) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(d, -1, -1) / d)
-    nodes[0] = lo
-    nodes[-1] = hi
-    weights = np.where(np.arange(d + 1) % 2 == 0, 1.0, -1.0)
+    lo_f, hi_f = float(lo), float(hi)
+    nodes = (lo_f + 0.5 * (hi_f - lo_f)) + 0.5 * (hi_f - lo_f) * np.cos(
+        np.pi * np.arange(n, -1, -1) / n
+    )
+    nodes[0] = lo_f
+    nodes[-1] = hi_f
+    weights = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    with mpmath.mp.workprec(prec):
-        center_mp = mpmath.mpf(center)
-        cs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in coeffs]
-        values = np.empty(d + 1)
-        for t in range(d + 1):
-            u = mpmath.mpf(float(nodes[t])) - center_mp
-            acc = cs[-1]
-            for k in range(len(cs) - 2, -1, -1):
-                acc = acc * u + cs[k]
-            values[t] = float(acc)
-    return _ChebModel(nodes=nodes, values=values, weights=weights)
+    values = np.empty(n + 1)
+    for t, x in enumerate(nodes.tolist()):
+        # sum_k A_k num^k den^(d-k) by Horner, with den = 2^shift a power of two
+        num, x_den = x.as_integer_ratio()
+        shift = x_den.bit_length() - 1
+        acc = 0
+        for k, a in enumerate(reversed(A)):
+            acc = acc * num + (a << (shift * k))
+        values[t] = acc / (D << (shift * d))
+    weighted = np.stack([weights * values, weights], axis=1)
+    return _ChebModel(nodes=nodes, values=values, weighted=weighted, tail=Fraction(tail, den))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +536,13 @@ def default_grid(K: int, n: int = 512) -> np.ndarray:
 
 
 def write_distribution_csv(d: SleDistribution, grid: np.ndarray, stream: IO[str]) -> None:
-    """Rows of `x,pdf,cdf` in shortest round-trip decimal."""
+    """Rows of `x,pdf,cdf` in shortest round-trip decimal.
+
+    CDF values are clipped to [0, 1], the exact CDF's range, so the clip only
+    removes evaluation error.
+    """
     pdf_vals = d.pdf.eval_many(grid)
-    cdf_vals = d.cdf.eval_many(grid)
+    cdf_vals = np.clip(d.cdf.eval_many(grid), 0.0, 1.0)
     stream.write("x,pdf,cdf\n")
     for x, f, F in zip(grid, pdf_vals, cdf_vals):
         stream.write(f"{float(x)!r},{float(f)!r},{float(F)!r}\n")

@@ -175,20 +175,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def compose_shift(self, offset: RationalLike) -> "Polynomial":
-        """Exact Taylor shift: the polynomial ``q(u) = p(u + offset)``.
-
-        Classic in-place repeated-Horner construction, O(degree**2) exact
-        operations.
-        """
-        c = _as_fraction(offset)
-        a = list(self._coeffs)
-        n = len(a)
-        for i in range(n - 1):
-            for k in range(n - 2, i - 1, -1):
-                a[k] += c * a[k + 1]
-        return Polynomial(a)
-
     def __repr__(self) -> str:
         if not self._coeffs:
             return "Polynomial(0)"

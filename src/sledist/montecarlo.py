@@ -113,10 +113,7 @@ def _draw(rng: np.random.Generator, K: int, N: int, count: int, be: Backend) -> 
     while done < count:
         m = min(_CHUNK, count - done)
         Z = (rng.standard_normal((m, K, N)) + 1j * rng.standard_normal((m, K, N))) * math.sqrt(0.5)
-        R = Z @ Z.conj().swapaxes(-1, -2)
-        trace = np.einsum("sii->s", R).real
-        evals = be.eigvalsh_batch(R)
-        out[done : done + m] = K * evals[:, -1] / trace
+        out[done : done + m] = sle_statistic(Z, be)
         done += m
     return out
 

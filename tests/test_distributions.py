@@ -303,6 +303,35 @@ def test_float_model_without_overflow_warning():
         assert pp.eval(x) == pytest.approx(exact, abs=1e-13)
 
 
+# the acceptance set plus a long-N shape and two larger K
+DENSE_CONFIGS = EXACT_CONFIGS + [(4, 40), (8, 8), (10, 10)]
+
+
+@pytest.mark.parametrize("K,N", DENSE_CONFIGS)
+def test_eval_many_matches_exact_on_dense_grid(K, N):
+    # each segment's grid runs from its left breakpoint to the last double
+    # below its right one; the final breakpoint K closes the grid
+    d = cached_dist(K, N)
+    per_segment = 64 if K * N < 150 else 24
+    bps = [float(b) for b in d.pdf.breakpoints]
+    xs = [float(K)]
+    for lo, hi in zip(bps, bps[1:]):
+        xs.extend(np.linspace(lo, np.nextafter(hi, -np.inf), per_segment).tolist())
+    xs = np.array(xs)
+    for pp in (d.pdf, d.cdf):
+        exact = np.array([float(pp.value_exact(F(x))) for x in xs])
+        assert np.max(np.abs(pp.eval_many(xs) - exact)) <= 1e-13
+        # every segment's model records the exact Chebyshev tail it dropped
+        assert all(0 <= m.tail < F(2.5e-14) for m in pp._models.values())
+
+
+def test_overflowing_segment_rejected():
+    # x^200 reaches 1e320 at x = 40, past the largest double
+    pp = PiecewisePolynomial([1, 40], [Polynomial.monomial(200)])
+    with pytest.raises(ValueError, match="segment 0 on \\[1, 40\\]"):
+        pp.eval(1.5)
+
+
 def test_eval_rejects_nan():
     d = cached_dist(2, 10)
     with pytest.raises(ValueError):
@@ -468,6 +497,15 @@ def test_default_grid_contains_breakpoints():
         assert float(F(4, i)) in grid
     assert np.all(np.diff(grid) > 0)
     assert grid[0] == 1.0 and grid[-1] == 4.0
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS)
+def test_csv_cdf_within_unit_interval(K, N):
+    d = cached_dist(K, N)
+    buf = io.StringIO()
+    write_distribution_csv(d, default_grid(K, 512), buf)
+    cdf = np.array([float(line.split(",")[2]) for line in buf.getvalue().split()[1:]])
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
 
 
 def test_csv_round_trips_values():

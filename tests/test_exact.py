@@ -59,12 +59,6 @@ def test_monomial_and_shift_powers():
     assert Polynomial([1, 2]).shift_powers(2) == Polynomial([0, 0, 1, 2])
 
 
-@given(small_polys, rationals, rationals)
-@settings(max_examples=60, deadline=None)
-def test_compose_shift_matches_direct_eval(p, c, x):
-    assert p.compose_shift(c)(x) == p(x + c)
-
-
 @given(small_polys, small_polys, rationals)
 @settings(max_examples=60, deadline=None)
 def test_product_evaluates_pointwise(p, q, x):
