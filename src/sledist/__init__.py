@@ -24,7 +24,6 @@ from .coefficients import (
 from .distributions import (
     PiecewisePolynomial,
     SleDistribution,
-    TraceDistribution,
     build_sle_cdf,
     build_sle_pdf,
     default_grid,
@@ -34,14 +33,12 @@ from .distributions import (
     sle_moment,
     threshold_for_false_alarm,
     trace_moment,
-    trace_pdf_eval,
     write_distribution_csv,
 )
 from .exact import (
     ExpPolySum,
     Polynomial,
     Rational,
-    count_real_roots,
     reciprocal_factorial,
 )
 from .montecarlo import (
@@ -63,7 +60,6 @@ __all__ = [
     "Polynomial",
     "ExpPolySum",
     "reciprocal_factorial",
-    "count_real_roots",
     "CoefficientTable",
     "HankelSystem",
     "ConsistencyError",
@@ -79,7 +75,6 @@ __all__ = [
     "table_from_json",
     "PiecewisePolynomial",
     "SleDistribution",
-    "TraceDistribution",
     "build_sle_pdf",
     "build_sle_cdf",
     "sle_distribution",
@@ -88,7 +83,6 @@ __all__ = [
     "sle_moment",
     "lambda1_moment",
     "trace_moment",
-    "trace_pdf_eval",
     "default_grid",
     "write_distribution_csv",
     "SimulationConfig",

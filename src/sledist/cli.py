@@ -59,7 +59,7 @@ def _add_shape(p: argparse.ArgumentParser) -> None:
         "--engine",
         choices=["auto", "closed-form", "hankel"],
         default="auto",
-        help="coefficient engine; auto = closed form for K in {2,3}, determinant otherwise",
+        help="coefficient engine; auto = closed form for K = 2, determinant otherwise",
     )
 
 

@@ -125,14 +125,8 @@ class CoefficientTable:
                 total += c * _fact(j) / Fraction(i) ** (j + 1)
         return total
 
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {k: v for k, v in self.entries.items() if v}
-
-    def __iter__(self):
-        return iter(sorted(self.entries.items()))
 
     # dict fields are unhashable, so hash the content: equal tables from different
     # engines must hash alike, as __eq__ compares entries
@@ -448,14 +442,15 @@ def hankel_coeffs(K: int, N: int) -> CoefficientTable:
 def coefficient_table(K: int, N: int, engine: str = "auto") -> CoefficientTable:
     """Build the coefficient table with the requested engine.
 
-    ``auto`` picks the closed form for K in {2, 3} and the determinant engine
-    otherwise; ``closed-form`` and ``hankel`` force the choice (closed-form is
-    only available for K in {2, 3}).
+    ``auto`` picks the faster engine: the closed form for K = 2 and the
+    determinant engine otherwise (at K = 3 both give equal tables);
+    ``closed-form`` and ``hankel`` force the choice (closed-form is only
+    available for K in {2, 3}).
     """
     _check_shape(K, N)
     _check_size(K, N)
     if engine == "auto":
-        engine = "closed-form" if K in (2, 3) else "hankel"
+        engine = "closed-form" if K == 2 else "hankel"
     if engine == "closed-form":
         if K == 2:
             return closed_form_k2(N)

@@ -8,8 +8,8 @@ has support [1, K] and a density that is a polynomial on each interval between
 consecutive breakpoints K/i (i = 1..K).  This module assembles those piecewise
 polynomials exactly, evaluates them in floats through one Chebyshev model per
 segment, and computes quantiles, detection thresholds, and exact rational moments, plus
-the Gamma-distributed normalized trace that links the SLE moments to the raw
-largest-eigenvalue moments.
+the moments of the Gamma-distributed normalized trace that link the SLE moments
+to the raw largest-eigenvalue moments.
 
 Float evaluation: each segment gets one model, built on its first
 evaluation.  The exact segment polynomial is converted to a Chebyshev series on
@@ -38,7 +38,6 @@ from .exact import Polynomial, Rational
 __all__ = [
     "PiecewisePolynomial",
     "SleDistribution",
-    "TraceDistribution",
     "build_sle_pdf",
     "build_sle_cdf",
     "sle_distribution",
@@ -47,7 +46,6 @@ __all__ = [
     "sle_moment",
     "lambda1_moment",
     "trace_moment",
-    "trace_pdf_eval",
     "default_grid",
     "write_distribution_csv",
 ]
@@ -131,9 +129,6 @@ class PiecewisePolynomial:
             return self.outside_high
         return self.segments[self.segment_index(x)](x)
 
-    def derivative(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints, [s.derivative() for s in self.segments])
-
     def integral(self) -> Fraction:
         """Exact integral over the whole span (antiderivative telescoping)."""
         total = Fraction(0)
@@ -162,8 +157,8 @@ class PiecewisePolynomial:
     def eval_many(self, xs: Iterable[float], backend: object = None) -> np.ndarray:
         """Vectorized float evaluation; clamps outside the span, rejects NaN.
 
-        ``backend`` is accepted for existing callers and ignored: evaluation
-        has a single numpy path.
+        ``backend`` is ignored: evaluation has a single numpy path.  The slot
+        stays because the benchmark's tracing wrapper passes it positionally.
         """
         arr = np.asarray(xs, dtype=np.float64)
         if np.isnan(arr).any():
@@ -191,8 +186,6 @@ class PiecewisePolynomial:
         if math.isnan(x):
             raise ValueError("cannot evaluate at NaN")
         return float(self.eval_many(np.array([float(x)]))[0])
-
-    __call__ = eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,25 +388,6 @@ class SleDistribution:
     def K(self) -> int:
         return self.table.K
 
-    @property
-    def N(self) -> int:
-        return self.table.N
-
-    def pdf_at(self, x: float) -> float:
-        return self.pdf.eval(x)
-
-    def cdf_at(self, x: float) -> float:
-        return self.cdf.eval(x)
-
-    def quantile(self, p: float) -> float:
-        return quantile(self, p)
-
-    def threshold(self, alpha: float) -> float:
-        return threshold_for_false_alarm(self, alpha)
-
-    def moment(self, m: int) -> Fraction:
-        return sle_moment(self, m)
-
 
 def sle_distribution(table: CoefficientTable) -> SleDistribution:
     """Assemble and validate the full distribution for one coefficient table."""
@@ -484,44 +458,6 @@ def trace_moment(K: int, N: int, z: int) -> Fraction:
     return Fraction(math.factorial(z + KN - 2), math.factorial(KN - 1) * K ** (z - 1))
 
 
-def trace_pdf_eval(K: int, N: int, x: float) -> float:
-    """Density K^(KN)/(KN-1)! * x^(KN-1) * e^(-Kx) of the normalized trace.
-
-    Computed in log space; the direct form overflows once KN is large.
-    """
-    if K < 1 or N < 1:
-        raise ValueError(f"need K, N >= 1, got K={K}, N={N}")
-    if math.isnan(x):
-        raise ValueError("cannot evaluate at NaN")
-    if x <= 0:
-        return 0.0
-    KN = K * N
-    log_pdf = KN * math.log(K) - math.lgamma(KN) + (KN - 1) * math.log(x) - K * x
-    return math.exp(log_pdf)
-
-
-@dataclass(frozen=True)
-class TraceDistribution:
-    """Normalized trace T = trace(R)/K: Gamma with shape KN and rate K."""
-
-    K: int
-    N: int
-
-    def __post_init__(self):
-        if self.K < 1 or self.N < 1:
-            raise ValueError(f"need K, N >= 1, got K={self.K}, N={self.N}")
-
-    def pdf(self, x: float) -> float:
-        return trace_pdf_eval(self.K, self.N, x)
-
-    def moment(self, z: int) -> Fraction:
-        return trace_moment(self.K, self.N, z)
-
-    @property
-    def mean(self) -> Fraction:
-        return self.moment(2)
-
-
 # ---------------------------------------------------------------------------
 # tabulation
 
@@ -531,17 +467,17 @@ def default_grid(K: int, n: int = 512) -> np.ndarray:
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
     uniform = np.linspace(1.0, float(K), n)
-    bps = np.array([float(Fraction(K, i)) for i in range(K, 0, -1)])
+    bps = np.array([float(b) for b in _sle_breakpoints(K)])
     return np.union1d(uniform, bps)
 
 
 def write_distribution_csv(d: SleDistribution, grid: np.ndarray, stream: IO[str]) -> None:
     """Rows of `x,pdf,cdf` in shortest round-trip decimal.
 
-    CDF values are clipped to [0, 1], the exact CDF's range, so the clip only
-    removes evaluation error.
+    PDF values are clipped at 0 and CDF values to [0, 1], the exact ranges,
+    so the clips only remove evaluation error.
     """
-    pdf_vals = d.pdf.eval_many(grid)
+    pdf_vals = np.maximum(d.pdf.eval_many(grid), 0.0)
     cdf_vals = np.clip(d.cdf.eval_many(grid), 0.0, 1.0)
     stream.write("x,pdf,cdf\n")
     for x, f, F in zip(grid, pdf_vals, cdf_vals):

@@ -22,7 +22,6 @@ __all__ = [
     "Polynomial",
     "ExpPolySum",
     "reciprocal_factorial",
-    "count_real_roots",
 ]
 
 # The rational scalar for all symbolic work.  fractions.Fraction already
@@ -69,16 +68,6 @@ class Polynomial:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls([0] * power + [coeff])
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return self._coeffs
@@ -91,11 +80,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self._coeffs)
@@ -168,12 +152,22 @@ class Polynomial:
         return Polynomial([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Exact evaluation by Horner's rule at a rational point."""
+        """Exact evaluation at a rational point by Horner's rule on integers.
+
+        With x = a/b and the coefficients c_k = A_k/D over one common
+        denominator, p(x) = sum_k A_k a^k b^(d-k) / (D b^d): the sum is an
+        integer, so the only gcd is the one that reduces the final Fraction.
+        """
         x = _as_fraction(x)
-        acc = Fraction(0)
+        if not self._coeffs:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        D = math.lcm(*(c.denominator for c in self._coeffs))
+        acc, b_power = 0, 1
         for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c.numerator * (D // c.denominator) * b_power
+            b_power *= b
+        return Fraction(acc, D * (b_power // b))
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -206,27 +200,9 @@ class ExpPolySum:
                     clean[int(m)] = p
         self._terms = clean
 
-    @classmethod
-    def zero(cls) -> "ExpPolySum":
-        return cls()
-
-    @classmethod
-    def single(cls, m: int, poly: Polynomial) -> "ExpPolySum":
-        return cls({m: poly})
-
     @property
     def terms(self) -> dict[int, Polynomial]:
         return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def poly(self, m: int) -> Polynomial:
-        return self._terms.get(m, Polynomial())
-
-    def decay_rates(self) -> list[int]:
-        return sorted(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExpPolySum):
@@ -280,77 +256,9 @@ class ExpPolySum:
                     total += c * math.factorial(k) / Fraction(m) ** (k + 1)
         return total
 
-    def eval_at(self, x: float) -> float:
-        """Floating-point evaluation (diagnostics only; not the exact path)."""
-        return float(
-            sum(math.exp(-m * x) * float(p(Fraction(x))) for m, p in self._terms.items())
-        )
-
     def __repr__(self) -> str:
         if not self._terms:
             return "ExpPolySum(0)"
         parts = [f"e^(-{m}x)*({p!r})" for m, p in sorted(self._terms.items())]
         return "ExpPolySum(" + " + ".join(parts) + ")"
 
-
-def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, a.degree - b.degree + 1)
-    rem = list(a.coefficients)
-    bl = b.coefficients[-1]
-    bd = b.degree
-    while len(rem) - 1 >= bd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < bd:
-            break
-        shift = len(rem) - 1 - bd
-        factor = rem[-1] / bl
-        quot[shift] = factor
-        for i, c in enumerate(b.coefficients):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return Polynomial(quot), Polynomial(rem)
-
-
-def _sign_changes(values: list[Fraction]) -> int:
-    signs = [v > 0 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval ``(lo, hi]``.
-
-    Sturm-sequence sign-change count, fully exact.  Repeated roots count once;
-    a root exactly at ``lo`` is excluded, one at ``hi`` is included.  Intended
-    for certifying sign patterns of density segments; cost grows quickly with
-    degree.
-    """
-    lo = _as_fraction(lo)
-    hi = _as_fraction(hi)
-    if lo >= hi:
-        raise ValueError("empty interval")
-    if p.is_zero:
-        raise ValueError("zero polynomial has no isolated roots")
-    # multiple roots exactly at an endpoint corrupt the sign sequences, so
-    # deflate both endpoints and count the open interval; lo is excluded by
-    # the interval convention, a deflated hi is added back at the end
-    root_at_hi = 1 if p(hi) == 0 else 0
-    for point in (lo, hi):
-        linear = Polynomial([-point, Fraction(1)])
-        while p(point) == 0:
-            p, _ = _poly_divmod(p, linear)
-    if p.degree == 0:
-        return root_at_hi
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if rem.is_zero:
-            break
-        chain.append(-rem)
-    if chain[-1].is_zero:
-        chain.pop()
-    at_lo = _sign_changes([q(lo) for q in chain])
-    at_hi = _sign_changes([q(hi) for q in chain])
-    return at_lo - at_hi + root_at_hi

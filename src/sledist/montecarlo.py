@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .backends import Backend, get_backend
+from .backends import get_backend
 from .coefficients import ConsistencyError
 from .distributions import SleDistribution
 
@@ -92,9 +92,8 @@ class EmpiricalSample:
         return int(self.values.size)
 
 
-def sle_statistic(Z: np.ndarray, backend: Backend | str | None = None) -> np.ndarray:
+def sle_statistic(Z: np.ndarray) -> np.ndarray:
     """SLE statistic K * lambda_max / trace for one or a batch of data matrices."""
-    be = backend if isinstance(backend, Backend) else get_backend(backend)
     Z = np.asarray(Z, dtype=np.complex128)
     single = Z.ndim == 2
     if single:
@@ -102,29 +101,28 @@ def sle_statistic(Z: np.ndarray, backend: Backend | str | None = None) -> np.nda
     K = Z.shape[1]
     R = Z @ Z.conj().swapaxes(-1, -2)
     trace = np.einsum("sii->s", R).real
-    evals = be.eigvalsh_batch(R)
+    evals = get_backend().eigvalsh_batch(R)
     stats = K * evals[:, -1] / trace
     return stats[0] if single else stats
 
 
-def _draw(rng: np.random.Generator, K: int, N: int, count: int, be: Backend) -> np.ndarray:
+def _draw(rng: np.random.Generator, K: int, N: int, count: int) -> np.ndarray:
     out = np.empty(count)
     done = 0
     while done < count:
         m = min(_CHUNK, count - done)
         Z = (rng.standard_normal((m, K, N)) + 1j * rng.standard_normal((m, K, N))) * math.sqrt(0.5)
-        out[done : done + m] = sle_statistic(Z, be)
+        out[done : done + m] = sle_statistic(Z)
         done += m
     return out
 
 
-def sample_sle(config: SimulationConfig, backend: Backend | str | None = None) -> EmpiricalSample:
+def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     """Draw config.samples statistics, deterministically for a given seed.
 
     Partition p consumes the p-th child of SeedSequence(seed), so the result
     depends on (seed, partitions) and on nothing else.
     """
-    be = backend if isinstance(backend, Backend) else get_backend(backend)
     children = np.random.SeedSequence(config.seed).spawn(config.partitions)
     base, extra = divmod(config.samples, config.partitions)
     parts = []
@@ -133,7 +131,7 @@ def sample_sle(config: SimulationConfig, backend: Backend | str | None = None) -
         if count == 0:
             continue
         rng = np.random.Generator(np.random.Philox(child))
-        parts.append(_draw(rng, config.K, config.N, count, be))
+        parts.append(_draw(rng, config.K, config.N, count))
     values = np.sort(np.concatenate(parts))
     return EmpiricalSample(values=values, config=config)
 

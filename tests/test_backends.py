@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sledist import EigensolverError, get_backend, sle_statistic
+from sledist import EigensolverError, get_backend
 
 
 def test_numpy_backend_always_available():
@@ -14,15 +14,6 @@ def test_numpy_backend_always_available():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("fortran")
-
-
-def test_statistic_accepts_backend_object():
-    rng = np.random.default_rng(5)
-    Z = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) * np.sqrt(0.5)
-    be = get_backend("numpy")
-    x = sle_statistic(Z, backend=be)
-    assert np.isscalar(x) or x.ndim == 0
-    assert 1.0 <= float(x) <= 2.0
 
 
 def test_lapack_failure_wrapped(monkeypatch):

@@ -1,6 +1,7 @@
 """Coefficient engines: closed forms, the determinant engine, and their agreement."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -46,14 +47,14 @@ def test_l_poly_matches_quadrature_oracle(a, x):
     # independent oracle: numerically integrate the defining integral
     with mpmath.mp.workprec(160):
         oracle = mpmath.quad(lambda t: t**a * (x - t) ** 2 * mpmath.e**-t, [0, x])
-        got = l_poly(a).eval_at(x)
+        got = sum(math.exp(-m * x) * float(p(F(x))) for m, p in l_poly(a).terms.items())
         assert abs(got - float(oracle)) < 1e-10 * max(1.0, float(oracle))
 
 
 @pytest.mark.parametrize("a", [0, 1, 3, 10])
 def test_l_poly_vanishes_at_origin(a):
     f = l_poly(a)
-    assert f.poly(0)(F(0)) + f.poly(1)(F(0)) == 0
+    assert sum(p(F(0)) for p in f.terms.values()) == 0
 
 
 def test_l_poly_negative_rejected():
@@ -124,7 +125,7 @@ def test_engine_matches_k2_closed_form(N):
     assert hankel_coeffs(2, N).entries == closed_form_k2(N).entries
 
 
-@pytest.mark.parametrize("N", range(3, 31))
+@pytest.mark.parametrize("N", [*range(3, 31), 100])
 def test_engine_matches_k3_closed_form(N):
     engine, closed = hankel_coeffs(3, N), closed_form_k3(N)
     assert engine.entries == closed.entries

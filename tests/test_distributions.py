@@ -4,7 +4,6 @@ import io
 import math
 from fractions import Fraction as F
 
-import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -16,10 +15,8 @@ from sledist import (
     PiecewisePolynomial,
     Polynomial,
     SleDistribution,
-    TraceDistribution,
     build_sle_cdf,
     build_sle_pdf,
-    count_real_roots,
     default_grid,
     lambda1_moment,
     quantile,
@@ -27,11 +24,11 @@ from sledist import (
     sle_moment,
     threshold_for_false_alarm,
     trace_moment,
-    trace_pdf_eval,
     write_distribution_csv,
 )
 
 from conftest import EXACT_CONFIGS, cached_dist, cached_table
+from sturm import count_real_roots
 
 
 # --- oracles: the earlier Fraction assembly and the paper's CDF series ----------
@@ -297,7 +294,7 @@ def test_cdf_monotone_on_dense_grid(K, N):
 def test_float_model_without_overflow_warning():
     # the mass bound sum |a_k| 40^k overflows a double here; under the
     # error::RuntimeWarning filter any overflow warning fails the test
-    pp = PiecewisePolynomial([1, 40], [Polynomial.monomial(200, F(1, 40**200))])
+    pp = PiecewisePolynomial([1, 40], [Polynomial([F(1, 40**200)]).shift_powers(200)])
     for x in (1.0, 7.5, 30.0, 39.0, 40.0):
         exact = float(pp.value_exact(F(x)))
         assert pp.eval(x) == pytest.approx(exact, abs=1e-13)
@@ -327,7 +324,7 @@ def test_eval_many_matches_exact_on_dense_grid(K, N):
 
 def test_overflowing_segment_rejected():
     # x^200 reaches 1e320 at x = 40, past the largest double
-    pp = PiecewisePolynomial([1, 40], [Polynomial.monomial(200)])
+    pp = PiecewisePolynomial([1, 40], [Polynomial([1]).shift_powers(200)])
     with pytest.raises(ValueError, match="segment 0 on \\[1, 40\\]"):
         pp.eval(1.5)
 
@@ -448,46 +445,6 @@ def test_trace_moment_mean_is_n():
         assert trace_moment(K, N, 1) == 1
 
 
-def test_trace_pdf_unit_exponential_case():
-    assert trace_pdf_eval(1, 1, 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
-
-
-def test_trace_pdf_mode():
-    K, N = 3, 5
-    mode = (K * N - 1) / K
-    left, peak, right = (
-        trace_pdf_eval(K, N, mode - 1e-4),
-        trace_pdf_eval(K, N, mode),
-        trace_pdf_eval(K, N, mode + 1e-4),
-    )
-    assert peak > left and peak > right
-
-
-def test_trace_pdf_normalizes():
-    with mpmath.mp.workprec(80):
-        total = mpmath.quad(lambda x: trace_pdf_eval(2, 2, float(x)), [0, 1, 5, 50])
-    assert float(total) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_trace_pdf_nonpositive_argument_is_zero():
-    assert trace_pdf_eval(2, 5, 0.0) == 0.0
-    assert trace_pdf_eval(2, 5, -3.0) == 0.0
-
-
-def test_trace_pdf_no_overflow_at_large_kn():
-    # direct evaluation of K^(KN)/(KN-1)! overflows floats near KN = 400
-    v = trace_pdf_eval(4, 100, 100.0)
-    assert v > 0 and math.isfinite(v)
-
-
-def test_trace_distribution_wrapper():
-    td = TraceDistribution(K=2, N=10)
-    assert td.mean == 10
-    assert td.pdf(10.0) == pytest.approx(trace_pdf_eval(2, 10, 10.0), abs=0)
-    with pytest.raises(ValueError):
-        TraceDistribution(K=0, N=3)
-
-
 # --- export ------------------------------------------------------------------------
 
 
@@ -504,7 +461,9 @@ def test_csv_cdf_within_unit_interval(K, N):
     d = cached_dist(K, N)
     buf = io.StringIO()
     write_distribution_csv(d, default_grid(K, 512), buf)
-    cdf = np.array([float(line.split(",")[2]) for line in buf.getvalue().split()[1:]])
+    rows = np.array([[float(v) for v in line.split(",")] for line in buf.getvalue().split()[1:]])
+    pdf, cdf = rows[:, 1], rows[:, 2]
+    assert np.all(pdf >= 0.0)
     assert np.all((cdf >= 0.0) & (cdf <= 1.0))
 
 

@@ -97,8 +97,8 @@ def test_statistic_support_bounds():
 def test_statistic_scale_invariance():
     rng = np.random.default_rng(314)
     Z = (rng.standard_normal((50, 3, 8)) + 1j * rng.standard_normal((50, 3, 8))) * np.sqrt(0.5)
-    base = sle_statistic(Z, backend="numpy")
-    scaled = sle_statistic(3.7j * Z, backend="numpy")
+    base = sle_statistic(Z)
+    scaled = sle_statistic(3.7j * Z)
     np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=0)
 
 
@@ -117,7 +117,7 @@ def test_statistic_equals_eigensum_identity():
 def test_single_matrix_statistic_in_support():
     rng = np.random.default_rng(8)
     Z = (rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))) * np.sqrt(0.5)
-    x = float(sle_statistic(Z, backend="numpy"))
+    x = float(sle_statistic(Z))
     assert 1.0 <= x <= 2.0
 
 
