@@ -11,11 +11,8 @@ from .coefficients import (
     ConsistencyError,
     HankelSystem,
     ResourceLimitError,
-    closed_form_k2,
-    closed_form_k3,
     coefficient_table,
     d_constant,
-    hankel_coeffs,
     hankel_system,
     l_poly,
     table_from_json,
@@ -39,7 +36,6 @@ from .exact import (
     ExpPolySum,
     Polynomial,
     Rational,
-    reciprocal_factorial,
 )
 from .montecarlo import (
     GENERATOR_NAME,
@@ -59,17 +55,13 @@ __all__ = [
     "Rational",
     "Polynomial",
     "ExpPolySum",
-    "reciprocal_factorial",
     "CoefficientTable",
     "HankelSystem",
     "ConsistencyError",
     "ResourceLimitError",
     "l_poly",
     "d_constant",
-    "closed_form_k2",
-    "closed_form_k3",
     "hankel_system",
-    "hankel_coeffs",
     "coefficient_table",
     "table_to_json",
     "table_from_json",

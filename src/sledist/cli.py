@@ -55,12 +55,6 @@ __all__ = ["main", "build_parser"]
 def _add_shape(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", type=int, required=True, help="matrix rows (number of sensors)")
     p.add_argument("--N", type=int, required=True, help="matrix columns (number of snapshots), N >= K")
-    p.add_argument(
-        "--engine",
-        choices=["auto", "closed-form", "hankel"],
-        default="auto",
-        help="coefficient engine; auto = closed form for K = 2, determinant otherwise",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +104,7 @@ def _open_out(path: str | None):
 
 
 def _run_coeffs(args) -> int:
-    table = coefficient_table(args.K, args.N, args.engine)
+    table = coefficient_table(args.K, args.N)
     with _open_out(args.out) as stream:
         stream.write(table_to_json(table))
         stream.write("\n")
@@ -118,7 +112,7 @@ def _run_coeffs(args) -> int:
 
 
 def _run_curve(args) -> int:
-    table = coefficient_table(args.K, args.N, args.engine)
+    table = coefficient_table(args.K, args.N)
     dist = sle_distribution(table)
     grid = default_grid(args.K, args.grid)
     with _open_out(args.out) as stream:
@@ -127,13 +121,13 @@ def _run_curve(args) -> int:
 
 
 def _run_quantile(args) -> int:
-    dist = sle_distribution(coefficient_table(args.K, args.N, args.engine))
+    dist = sle_distribution(coefficient_table(args.K, args.N))
     print(repr(quantile(dist, args.p)))
     return 0
 
 
 def _run_threshold(args) -> int:
-    dist = sle_distribution(coefficient_table(args.K, args.N, args.engine))
+    dist = sle_distribution(coefficient_table(args.K, args.N))
     print(repr(threshold_for_false_alarm(dist, args.alpha)))
     return 0
 
@@ -141,7 +135,7 @@ def _run_threshold(args) -> int:
 def _run_moments(args) -> int:
     if args.max_order < 0:
         raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
-    table = coefficient_table(args.K, args.N, args.engine)
+    table = coefficient_table(args.K, args.N)
     dist = sle_distribution(table)
     for m in range(args.max_order + 1):
         print(f"E[X^{m}] = {sle_moment(dist, m)}")
@@ -156,7 +150,7 @@ def _run_moments(args) -> int:
 
 
 def _run_validate(args) -> int:
-    table = coefficient_table(args.K, args.N, args.engine)
+    table = coefficient_table(args.K, args.N)
     dist = sle_distribution(table)
     config = SimulationConfig(
         K=args.K, N=args.N, samples=args.samples, seed=args.seed, partitions=args.partitions

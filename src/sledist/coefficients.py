@@ -6,25 +6,29 @@ standard complex Gaussian matrix, ``K <= N``) admits the expansion
     f(x) = sum_{i=1}^{K} exp(-i*x) * sum_j c_{i,j} x^j,
 
 with ``j`` running over ``N-K .. (N+K)*i - 2*i**2`` for each ``i``.  This
-module produces the exact rational table ``c_{i,j}`` three ways: closed forms
-for K = 2 and K = 3, and a determinant engine for general K that expands the
-squared-Vandermonde integral over ``[0, x]^(K-1)`` into a Hankel determinant
-of the weighted incomplete moments L_a(x).
+module produces the exact rational table ``c_{i,j}`` for every K >= 2 with
+one determinant engine, which expands the squared-Vandermonde integral over
+``[0, x]^(K-1)`` into a Hankel determinant of the weighted incomplete moments
+L_a(x).
 
-Every construction path validates the result: nonzero coefficients must land
-inside the index bounds above, and the table must satisfy the exact
-normalization ``sum c_{i,j} * j! / i^(j+1) = 1``.
+Every table validates itself: nonzero coefficients must land inside the index
+bounds above, and the table must satisfy the exact normalization
+``sum c_{i,j} * j! / i^(j+1) = 1``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .exact import ExpPolySum, Polynomial, Rational, reciprocal_factorial
+from .exact import ExpPolySum, Polynomial, Rational
 
 __all__ = [
     "ConsistencyError",
@@ -33,10 +37,7 @@ __all__ = [
     "HankelSystem",
     "l_poly",
     "d_constant",
-    "closed_form_k2",
-    "closed_form_k3",
     "hankel_system",
-    "hankel_coeffs",
     "coefficient_table",
     "table_to_json",
     "table_from_json",
@@ -54,10 +55,6 @@ class ConsistencyError(Exception):
 
 class ResourceLimitError(Exception):
     """Requested problem size exceeds the practical exact-arithmetic budget."""
-
-
-def _fact(n: int) -> int:
-    return math.factorial(n)
 
 
 def index_upper(K: int, i: int, N: int) -> int:
@@ -119,17 +116,18 @@ class CoefficientTable:
 
     def normalization(self) -> Fraction:
         """Exact total mass: sum over entries of c * j! / i^(j+1)."""
+        top = max(j for _, j in self.entries)
+        fact = list(accumulate(range(1, top + 1), operator.mul, initial=1))  # j! at j
         total = Fraction(0)
         for (i, j), c in self.entries.items():
             if c:
-                total += c * _fact(j) / Fraction(i) ** (j + 1)
+                total += c * fact[j] / Fraction(i) ** (j + 1)
         return total
 
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {k: v for k, v in self.entries.items() if v}
 
-    # dict fields are unhashable, so hash the content: equal tables from different
-    # engines must hash alike, as __eq__ compares entries
+    # dict fields are unhashable, so hash the content, as __eq__ compares it
     def __hash__(self) -> int:
         return hash((self.K, self.N, tuple(sorted(self.nonzero().items()))))
 
@@ -160,16 +158,15 @@ class HankelSystem:
 def l_poly(a: int) -> ExpPolySum:
     """The weighted incomplete moment L_a(x) = int_0^x t^a (x-t)^2 e^(-t) dt.
 
-    Closed form (repeated integration by parts):
+    Closed form (repeated integration by parts), all coefficients integers:
         [(a+2)! - 2(a+1)! x + a! x^2]
-        - e^(-x) * a! * sum_{k=0}^{a} (a-k+2)!/(k!(a-k)!) x^k
+        - e^(-x) * sum_{k=0}^{a} (a!/k!) (a-k+1) (a-k+2) x^k
     """
     if a < 0:
         raise ValueError(f"moment order must be nonnegative, got {a}")
-    steady = Polynomial([_fact(a + 2), -2 * _fact(a + 1), _fact(a)])
-    decaying = Polynomial(
-        [Fraction(-_fact(a) * _fact(a - k + 2), _fact(k) * _fact(a - k)) for k in range(a + 1)]
-    )
+    steady = Polynomial([math.factorial(a + 2), -2 * math.factorial(a + 1), math.factorial(a)])
+    falling = list(accumulate(range(a, 0, -1), operator.mul, initial=1))  # a!/(a-t)! at t
+    decaying = Polynomial([-falling[a - k] * (a - k + 1) * (a - k + 2) for k in range(a + 1)])
     return ExpPolySum({0: steady, 1: decaying})
 
 
@@ -178,112 +175,18 @@ def d_constant(K: int, N: int) -> Rational:
     _check_shape(K, N)
     denom = 1
     for i in range(1, K + 1):
-        denom *= _fact(N - i) * _fact(K - i)
+        denom *= math.factorial(N - i) * math.factorial(K - i)
     return Fraction(1, denom)
 
 
 def _full_rectangle(K: int, N: int, nonzero: dict[tuple[int, int], Fraction]) -> CoefficientTable:
-    entries = {
-        (i, j): nonzero.get((i, j), Fraction(0))
+    """Zeros at every in-range (i, j) but those ``nonzero`` sets; a stray key fails validation."""
+    zeros = {
+        (i, j): Fraction(0)
         for i in range(1, K + 1)
         for j in range(N - K, index_upper(K, i, N) + 1)
     }
-    return CoefficientTable(K=K, N=N, entries=entries)
-
-
-def closed_form_k2(N: int) -> CoefficientTable:
-    """Closed-form coefficient table for K = 2."""
-    if N < 2:
-        raise ValueError(f"K=2 closed form needs N >= 2, got {N}")
-    _check_size(2, N)
-    t: dict[tuple[int, int], Fraction] = {}
-    fN1 = _fact(N - 1)
-    fN2 = _fact(N - 2)
-    for j in range(N - 2, N + 1):
-        sign = -1 if (j - N) % 2 else 1
-        c = (
-            Fraction(2 * sign * _fact(2 * N - j - 2), fN2 * fN1)
-            * reciprocal_factorial(-N + j + 2)
-            * reciprocal_factorial(N - j)
-        )
-        t[(1, j)] = c
-    for j in range(N - 2, 2 * N - 3):
-        t[(2, j)] = (
-            Fraction(-(2 * N - j - 2) * (2 * N - j - 3), fN1)
-            * reciprocal_factorial(-N + j + 2)
-        )
-    return _full_rectangle(2, N, t)
-
-
-def _falling2(a: int) -> int:
-    """a * (a - 1): the two-step falling product that the K=3 factorial ratios reduce to."""
-    return a * (a - 1)
-
-
-def closed_form_k3(N: int) -> CoefficientTable:
-    """Closed-form coefficient table for K = 3.
-
-    The printed formulas contain factorial ratios like (2N-j+k-3)!/(2N-j+k-5)!
-    whose separate factorials can have negative arguments at the edges of the
-    summation ranges even though the ratio itself is a polynomial; each ratio
-    is therefore implemented as the equivalent falling product, which is exact
-    everywhere the summation ranges reach.
-    """
-    if N < 3:
-        raise ValueError(f"K=3 closed form needs N >= 3, got {N}")
-    _check_size(3, N)
-    fN1, fN2, fN3 = _fact(N - 1), _fact(N - 2), _fact(N - 3)
-    t: dict[tuple[int, int], Fraction] = {}
-
-    for j in range(N - 3, N + 2):
-        s = Fraction(0)
-        sign = -1 if (j - N + 1) % 2 else 1
-        for k in range(max(0, j - N + 1), min(j - N + 3, 2) + 1):
-            s += (
-                Fraction(
-                    2 * sign * _fact(N - k) * _fact(2 * N - j + k - 4) * (-N + j - 2 * k + 4),
-                    _fact(2 - k) * _fact(k) * fN3 * fN2 * fN1,
-                )
-                * reciprocal_factorial(N - j + k - 1)
-                * reciprocal_factorial(-N + j - k + 3)
-            )
-        if s:
-            t[(1, j)] = s
-
-    for j in range(N - 3, index_upper(3, 2, N) + 1):
-        s = Fraction(0)
-        for k in range(max(0, j - 2 * N + 4), min(j - N + 3, 2) + 1):
-            sign = -1 if k % 2 else 1
-            pref = (
-                Fraction(sign)
-                * reciprocal_factorial(2 - k)
-                * reciprocal_factorial(k)
-                * reciprocal_factorial(-N + j - k + 3)
-            )
-            a = 2 * N - j + k
-            p1 = Fraction(2 * _fact(N - k) * _falling2(a - 3), fN3 * fN1)
-            p2 = Fraction(_fact(N - k - 1) * _falling2(a - 2), fN3 * fN2)
-            p3 = Fraction(_fact(N - k + 1) * _falling2(a - 4), fN2 * fN1)
-            s += pref * (p1 - p2 - p3)
-        if s:
-            t[(2, j)] = s
-
-    for j in range(N - 3, index_upper(3, 3, N) + 1):
-        s = Fraction(0)
-        for k in range(max(0, j - 2 * N + 5), min(j - N + 3, N - 1) + 1):
-            pref = (
-                Fraction(1, 2 * fN2)
-                * reciprocal_factorial(k)
-                * reciprocal_factorial(-N + j - k + 3)
-            )
-            a = 2 * N - j + k
-            p1 = Fraction((N - k + 1) * (N - k) * _falling2(a - 4))
-            p2 = Fraction((N - k) * (N - k - 1) * _falling2(a - 3) * (N - 2), N - 1)
-            s += pref * (p1 - p2)
-        if s:
-            t[(3, j)] = s
-
-    return _full_rectangle(3, N, t)
+    return CoefficientTable(K=K, N=N, entries=zeros | nonzero)
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -410,58 +313,42 @@ def hankel_system(K: int, N: int) -> HankelSystem:
     return HankelSystem(K=K, N=N, entries=rows)
 
 
-def hankel_coeffs(K: int, N: int) -> CoefficientTable:
-    """General-K coefficient table via the determinant of the moment matrix.
+def coefficient_table(K: int, N: int) -> CoefficientTable:
+    """Coefficient table for any K >= 2 via the determinant of the moment matrix.
 
     The largest-eigenvalue density equals
         D(K,N) * x^(N-K) * e^(-x) * det[L_{N-K+r+s}(x)]_{r,s=0..K-2};
-    expanding the determinant in the ExpPolySum ring and collecting the
-    coefficient of e^(-i*x) x^j gives c_{i,j} directly.
+    expanding the determinant (integer coefficients) in the ExpPolySum ring
+    and collecting the coefficient of e^(-i*x) x^j gives c_{i,j} directly.
     """
     _check_shape(K, N)
     _check_size(K, N)
     det = hankel_system(K, N).determinant()
-    D = d_constant(K, N)
-    shift = N - K
-    nonzero: dict[tuple[int, int], Fraction] = {}
-    for m, poly in det.terms.items():
-        i = m + 1  # the assembled density carries one extra e^(-x)
-        for k, c in enumerate(poly):
-            if not c:
-                continue
-            j = k + shift
-            if not (N - K <= j <= index_upper(K, i, N)):
-                raise ConsistencyError(
-                    f"determinant produced coefficient at (i={i}, j={j}) outside "
-                    f"the admissible range for K={K}, N={N}"
-                )
-            nonzero[(i, j)] = c * D
+    denom = d_constant(K, N).denominator
+    nonzero = {
+        (m + 1, k + N - K): Fraction(c.numerator, denom)
+        for m, poly in det.terms.items()
+        for k, c in enumerate(poly)
+        if c
+    }
     return _full_rectangle(K, N, nonzero)
 
 
-def coefficient_table(K: int, N: int, engine: str = "auto") -> CoefficientTable:
-    """Build the coefficient table with the requested engine.
-
-    ``auto`` picks the faster engine: the closed form for K = 2 and the
-    determinant engine otherwise (at K = 3 both give equal tables);
-    ``closed-form`` and ``hankel`` force the choice (closed-form is only
-    available for K in {2, 3}).
-    """
-    _check_shape(K, N)
-    _check_size(K, N)
-    if engine == "auto":
-        engine = "closed-form" if K == 2 else "hankel"
-    if engine == "closed-form":
-        if K == 2:
-            return closed_form_k2(N)
-        if K == 3:
-            return closed_form_k3(N)
-        raise ValueError(f"no closed form for K={K}; use engine='hankel'")
-    if engine == "hankel":
-        return hankel_coeffs(K, N)
-    raise ValueError(f"unknown engine {engine!r}; expected auto, closed-form, or hankel")
+@contextmanager
+def _int_str_digits(digits: int):
+    """Raise Python's int <-> str digit limit to ``digits`` (0: none) for the block."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not previous:  # no limit in force, as on Pythons 3.10.0-3.10.6
+        yield
+        return
+    sys.set_int_max_str_digits(digits and max(digits, previous))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
+@_int_str_digits(0)
 def table_to_json(table: CoefficientTable, indent: int | None = 2) -> str:
     """Serialize a table; big integers become decimal strings so any JSON parser survives."""
     payload = {
@@ -478,8 +365,13 @@ def table_to_json(table: CoefficientTable, indent: int | None = 2) -> str:
 def table_from_json(text: str) -> CoefficientTable:
     """Inverse of :func:`table_to_json`; revalidates all invariants on load."""
     payload = json.loads(text)
-    entries = {
-        (int(e["i"]), int(e["j"])): Fraction(int(e["num"]), int(e["den"]))
-        for e in payload["entries"]
-    }
-    return CoefficientTable(K=int(payload["K"]), N=int(payload["N"]), entries=entries)
+    K, N = int(payload["K"]), int(payload["N"])
+    _check_shape(K, N)
+    _check_size(K, N)
+    # digits for (K*N)^(K*N), more than D(K,N)'s denominator, which every entry's divides
+    with _int_str_digits(K * N * len(str(K * N))):
+        entries = {
+            (int(e["i"]), int(e["j"])): Fraction(int(e["num"]), int(e["den"]))
+            for e in payload["entries"]
+        }
+    return CoefficientTable(K=K, N=N, entries=entries)

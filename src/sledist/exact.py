@@ -21,7 +21,6 @@ __all__ = [
     "Rational",
     "Polynomial",
     "ExpPolySum",
-    "reciprocal_factorial",
 ]
 
 # The rational scalar for all symbolic work.  fractions.Fraction already
@@ -30,18 +29,6 @@ __all__ = [
 Rational = Fraction
 
 RationalLike = Fraction | int
-
-
-def reciprocal_factorial(n: int) -> Fraction:
-    """Exact ``1/n!``, extended by ``0`` for negative ``n``.
-
-    The zero value implements the reciprocal-Gamma convention at nonpositive
-    integers, so summations whose printed upper limit overshoots the factorial
-    constraint drop the invalid terms automatically.
-    """
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(n))
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -240,21 +227,6 @@ class ExpPolySum:
 
     def scale(self, factor: RationalLike) -> "ExpPolySum":
         return ExpPolySum({m: p.scale(factor) for m, p in self._terms.items()})
-
-    def integral_0_inf(self) -> Fraction:
-        """Exact ``integral_0^inf`` of the sum.
-
-        Uses ``integral_0^inf x^k exp(-m x) dx = k! / m^(k+1)``.  A nonzero
-        ``m = 0`` polynomial makes the integral diverge and raises.
-        """
-        if 0 in self._terms:
-            raise ValueError("nonintegrable: nonzero polynomial with no exponential decay")
-        total = Fraction(0)
-        for m, p in self._terms.items():
-            for k, c in enumerate(p):
-                if c:
-                    total += c * math.factorial(k) / Fraction(m) ** (k + 1)
-        return total
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -14,8 +14,8 @@ MC_CONFIGS = [(2, 10), (3, 10), (4, 10), (6, 6), (4, 100)]
 
 
 @lru_cache(maxsize=None)
-def cached_table(K: int, N: int, engine: str = "auto"):
-    return coefficient_table(K, N, engine)
+def cached_table(K: int, N: int):
+    return coefficient_table(K, N)
 
 
 @lru_cache(maxsize=None)

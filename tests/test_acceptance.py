@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from sledist import (
-    closed_form_k2,
-    closed_form_k3,
-    hankel_coeffs,
+    coefficient_table,
     hankel_system,
     l_poly,
     lambda1_moment,
@@ -33,6 +31,7 @@ from sledist import (
 from sledist.exact import Polynomial
 
 from conftest import EXACT_CONFIGS, MC_CONFIGS, cached_dist, cached_table
+from oracles import closed_form_k2, closed_form_k3
 
 
 def test_acceptance_density_normalization_exact():
@@ -51,9 +50,9 @@ def test_acceptance_sle_normalization_and_boundaries_exact():
 
 def test_acceptance_engine_cross_validation():
     for N in range(2, 31):
-        assert hankel_coeffs(2, N).entries == closed_form_k2(N).entries, N
+        assert coefficient_table(2, N).entries == closed_form_k2(N).entries, N
     for N in range(3, 31):
-        assert hankel_coeffs(3, N).entries == closed_form_k3(N).entries, N
+        assert coefficient_table(3, N).entries == closed_form_k3(N).entries, N
     # K = 4: the 3x3 determinant of L-polynomials collapses to five products
     for N in range(4, 16):
         L = {a: l_poly(a) for a in range(N - 4, N + 1)}

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from sledist import coefficient_table, table_from_json, table_to_json
 from sledist.cli import main
+
+from oracles import closed_form_k2, closed_form_k3
 
 
 def run_cli(argv, capsys):
@@ -41,14 +44,22 @@ def test_coeffs_out_file(tmp_path, capsys):
 
 
 def test_coeffs_engines_byte_identical(capsys):
-    for K, N in [(2, 7), (3, 6)]:
-        _, closed, _ = run_cli(
-            ["coeffs", "--K", str(K), "--N", str(N), "--engine", "closed-form"], capsys
-        )
-        _, hankel, _ = run_cli(
-            ["coeffs", "--K", str(K), "--N", str(N), "--engine", "hankel"], capsys
-        )
-        assert closed == hankel
+    # the determinant engine's JSON is byte for byte the closed-form oracle's
+    for K, N, oracle in [(2, 7, closed_form_k2), (3, 6, closed_form_k3)]:
+        _, out, _ = run_cli(["coeffs", "--K", str(K), "--N", str(N)], capsys)
+        assert out == table_to_json(oracle(N)) + "\n"
+
+
+def test_coeffs_beyond_the_int_str_digit_limit(capsys):
+    # the largest entry at (2, 900) has 4531 digits, past Python's default
+    # 4300-digit limit on int <-> str conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(["coeffs", "--K", "2", "--N", "900"], capsys)
+    assert code == 0 and err == ""
+    table = coefficient_table(2, 900)
+    assert out == table_to_json(table) + "\n"
+    assert table_from_json(out) == table
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_repeat_invocations_byte_identical():

@@ -1,7 +1,8 @@
-"""Coefficient engines: closed forms, the determinant engine, and their agreement."""
+"""The determinant engine, and its agreement with the closed-form oracles."""
 
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -16,11 +17,8 @@ from sledist import (
     HankelSystem,
     Polynomial,
     ResourceLimitError,
-    closed_form_k2,
-    closed_form_k3,
     coefficient_table,
     d_constant,
-    hankel_coeffs,
     hankel_system,
     l_poly,
     table_from_json,
@@ -29,6 +27,7 @@ from sledist import (
 from sledist.coefficients import MAX_KN, _pack, _unpack, index_upper
 
 from conftest import EXACT_CONFIGS, cached_table
+from oracles import closed_form_k2, closed_form_k3
 
 
 # --- L_a -------------------------------------------------------------------
@@ -78,7 +77,7 @@ def test_d_constant_domain_errors():
         d_constant(3, 2)
 
 
-# --- closed forms -----------------------------------------------------------
+# --- closed-form oracles ------------------------------------------------------
 
 
 def test_closed_form_k2_smallest_case():
@@ -98,6 +97,8 @@ def test_closed_form_domain_errors():
         closed_form_k2(1)
     with pytest.raises(ValueError):
         closed_form_k3(2)
+    with pytest.raises(ValueError):
+        coefficient_table(1, 5)
 
 
 def test_empty_summation_ranges_give_zero():
@@ -122,12 +123,12 @@ def test_hankel_system_structure():
 
 @pytest.mark.parametrize("N", range(2, 31))
 def test_engine_matches_k2_closed_form(N):
-    assert hankel_coeffs(2, N).entries == closed_form_k2(N).entries
+    assert coefficient_table(2, N).entries == closed_form_k2(N).entries
 
 
 @pytest.mark.parametrize("N", [*range(3, 31), 100])
 def test_engine_matches_k3_closed_form(N):
-    engine, closed = hankel_coeffs(3, N), closed_form_k3(N)
+    engine, closed = coefficient_table(3, N), closed_form_k3(N)
     assert engine.entries == closed.entries
     assert hash(engine) == hash(closed)
 
@@ -192,9 +193,9 @@ def test_determinant_matches_subset_dp(K, N):
 
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(8, 8)])
 def test_table_matches_subset_dp_table(K, N, monkeypatch):
-    engine = hankel_coeffs(K, N)
+    engine = coefficient_table(K, N)
     monkeypatch.setattr(HankelSystem, "determinant", lambda self: _det_exppoly(self.entries))
-    assert engine == hankel_coeffs(K, N)
+    assert engine == coefficient_table(K, N)
 
 
 def test_determinant_pivots_past_zero_entries():
@@ -234,7 +235,7 @@ def test_pack_unpack_round_trip(coeffs):
 @given(st.integers(2, 9))
 @settings(max_examples=8, deadline=None)
 def test_engine_normalization_property(N):
-    assert hankel_coeffs(2, N).normalization() == 1
+    assert coefficient_table(2, N).normalization() == 1
 
 
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS)
@@ -304,18 +305,9 @@ def test_resource_guard():
     with pytest.raises(ResourceLimitError):
         coefficient_table(2, MAX_KN // 2 + 1)
     with pytest.raises(ResourceLimitError):
-        hankel_coeffs(4, 501)
-
-
-def test_engine_selector():
-    assert coefficient_table(2, 5, "auto").entries == closed_form_k2(5).entries
-    assert coefficient_table(4, 5, "auto").entries == hankel_coeffs(4, 5).entries
-    with pytest.raises(ValueError):
-        coefficient_table(4, 5, "closed-form")
-    with pytest.raises(ValueError):
-        coefficient_table(2, 5, "bogus")
-    with pytest.raises(ValueError):
-        coefficient_table(1, 5)
+        coefficient_table(4, 501)
+    with pytest.raises(ResourceLimitError):
+        table_from_json('{"K": 2, "N": 1001, "entries": []}')
 
 
 def test_json_round_trip_is_exact():
@@ -323,6 +315,18 @@ def test_json_round_trip_is_exact():
     again = table_from_json(table_to_json(t))
     assert again.entries == t.entries
     assert (again.K, again.N) == (t.K, t.N)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int <-> str digit limit in force")
+def test_json_load_keeps_the_digit_limit_for_small_shapes():
+    # loading raises Python's int <-> str digit limit only as far as the declared shape needs
+    doc = json.loads(table_to_json(cached_table(2, 2)))
+    doc["entries"][0]["num"] = "1" * (DIGIT_LIMIT + 1)
+    with pytest.raises(ValueError, match="integer string conversion"):
+        table_from_json(json.dumps(doc))
 
 
 def test_json_schema_shape():

@@ -20,7 +20,6 @@ from sledist import (
     default_grid,
     lambda1_moment,
     quantile,
-    reciprocal_factorial,
     sle_moment,
     threshold_for_false_alarm,
     trace_moment,
@@ -28,6 +27,7 @@ from sledist import (
 )
 
 from conftest import EXACT_CONFIGS, cached_dist, cached_table
+from oracles import reciprocal_factorial
 from sturm import count_real_roots
 
 

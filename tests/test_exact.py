@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from sledist import (
     ExpPolySum,
     Polynomial,
-    reciprocal_factorial,
 )
 
+from oracles import reciprocal_factorial
 from sturm import count_real_roots
 
 rationals = st.fractions(
@@ -83,29 +83,6 @@ def test_exppolysum_product_adds_decay_rates():
     f = ExpPolySum({1: Polynomial([1, 1])})
     g = ExpPolySum({2: Polynomial([3])})
     assert (f * g).terms == {3: Polynomial([3, 3])}
-
-
-def test_exppolysum_integral_closed_form():
-    # int_0^inf x^k e^(-m x) dx = k!/m^(k+1)
-    f = ExpPolySum({2: Polynomial([0, 0, 1])})
-    assert f.integral_0_inf() == F(2, 8)
-    g = ExpPolySum({1: Polynomial([1]), 3: Polynomial([0, 5])})
-    assert g.integral_0_inf() == 1 + F(5, 9)
-
-
-def test_exppolysum_nonintegrable_rejected():
-    with pytest.raises(ValueError):
-        ExpPolySum({0: Polynomial([1])}).integral_0_inf()
-
-
-@given(
-    st.dictionaries(st.integers(1, 4), small_polys, max_size=3),
-    st.dictionaries(st.integers(1, 4), small_polys, max_size=3),
-)
-@settings(max_examples=40, deadline=None)
-def test_integral_is_linear(t1, t2):
-    f, g = ExpPolySum(t1), ExpPolySum(t2)
-    assert (f + g).integral_0_inf() == f.integral_0_inf() + g.integral_0_inf()
 
 
 def test_count_real_roots():
