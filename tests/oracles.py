@@ -1,12 +1,17 @@
-"""The paper's closed-form coefficient tables for K = 2 and K = 3: test oracles.
+"""Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
+and a float evaluation dispatch with one mask per segment.
 
 sledist builds every table with the Hankel determinant engine; these printed
 formulas are an independent derivation that the tests compare it against.
+The mask dispatch, with one barycentric block per 4096 points of a segment,
+gives the floats that warm evaluation must reproduce bit for bit.
 """
 
 import math
 from fractions import Fraction
 from math import factorial as _fact
+
+import numpy as np
 
 from sledist.coefficients import CoefficientTable, _full_rectangle, index_upper
 
@@ -114,3 +119,68 @@ def closed_form_k3(N: int) -> CoefficientTable:
             t[(3, j)] = s
 
     return _full_rectangle(3, N, t)
+
+
+# ---------------------------------------------------------------------------
+# float evaluation with one mask per segment
+
+_CHUNK = 4096  # points per barycentric block
+
+
+def _barycentric_reference(model, xs: np.ndarray) -> np.ndarray:
+    """Second-form barycentric formula on one segment's model; on a node, that node's value."""
+    out = np.empty(xs.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, xs.size, _CHUNK):
+            r = xs[start : start + _CHUNK, None] - model.nodes
+            np.divide(1.0, r, out=r)
+            sums = r @ model.weighted
+            out[start : start + _CHUNK] = sums[:, 0] / sums[:, 1]
+    # exactly on a node the sums are inf/inf; no other point gives NaN
+    hit = np.isnan(out)
+    if hit.any():
+        out[hit] = model.values[np.searchsorted(model.nodes, xs[hit])]
+    return out
+
+
+def eval_many_reference(pw, xs) -> np.ndarray:
+    """``PiecewisePolynomial.eval_many`` by masks: below, above, and one per segment."""
+    arr = np.asarray(xs, dtype=np.float64)
+    if np.isnan(arr).any():
+        raise ValueError("cannot evaluate at NaN")
+    bps = np.array([float(b) for b in pw.breakpoints])
+    flat = arr.ravel()
+    out = np.empty(flat.shape)
+    below = flat < bps[0]
+    above = flat > bps[-1]
+    out[below] = float(pw.outside_low)
+    out[above] = float(pw.outside_high)
+    inside = ~(below | above)
+    pts = flat[inside]
+    idx = np.searchsorted(bps, pts, side="right") - 1
+    np.clip(idx, 0, len(pw.segments) - 1, out=idx)
+    vals = np.empty(pts.shape)
+    for t in np.unique(idx):
+        sel = idx == t
+        vals[sel] = _barycentric_reference(pw._model(int(t)), pts[sel])
+    out[inside] = vals
+    return out.reshape(arr.shape)
+
+
+def eval_reference(pw, x: float) -> float:
+    """``PiecewisePolynomial.eval`` as a one-point batch of :func:`eval_many_reference`."""
+    return float(eval_many_reference(pw, np.array([float(x)]))[0])
+
+
+def quantile_reference(d, p: float) -> float:
+    """``quantile``'s bisection for 0 < p < 1, on :func:`eval_reference`."""
+    lo, hi = 1.0, float(d.K)
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if eval_reference(d.cdf, mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

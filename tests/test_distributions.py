@@ -27,7 +27,7 @@ from sledist import (
 )
 
 from conftest import EXACT_CONFIGS, cached_dist, cached_table
-from oracles import reciprocal_factorial
+from oracles import eval_many_reference, eval_reference, quantile_reference, reciprocal_factorial
 from sturm import count_real_roots
 
 
@@ -333,8 +333,40 @@ def test_eval_rejects_nan():
     d = cached_dist(2, 10)
     with pytest.raises(ValueError):
         d.cdf.eval(float("nan"))
-    with pytest.raises(ValueError):
-        d.cdf.eval_many(np.array([1.2, float("nan")]))
+    for xs in ([1.2, float("nan")], [float("nan")], float("nan")):
+        with pytest.raises(ValueError):
+            d.cdf.eval_many(np.array(xs))
+
+
+def _probe_points(pw, K):
+    """Every model node and breakpoint with both neighbouring doubles, and points off [1, K]."""
+    nodes = [pw._model(t).nodes for t in range(len(pw.segments))]
+    near = np.concatenate(nodes + [[float(b) for b in pw.breakpoints]])
+    off = [-np.inf, -1.0, 0.0, 0.5, K + 0.5, 2.0 * K, np.inf]
+    return np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), off])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (8, 8)])
+def test_eval_is_bit_identical_to_the_reference_dispatch(K, N):
+    d = cached_dist(K, N)
+    rng = np.random.default_rng(1000 * K + N)
+    for pw in (d.pdf, d.cdf):
+        probes = _probe_points(pw, K)
+        scalar = [pw.eval(x) for x in probes.tolist()]
+        assert np.array_equal(_bits(scalar), _bits([eval_reference(pw, x) for x in probes.tolist()]))
+        batches = [probes, rng.permutation(probes), np.float64(0.5 * (1 + K)), probes[:12].reshape(3, 4)]
+        for n in (0, 1, 2, 16, 4097):
+            batches += [rng.choice(probes, n), rng.uniform(0.5, K + 0.5, n)]
+        # one segment's 4097 points cross the 4096-point block
+        batches.append(rng.uniform(float(pw.breakpoints[0]), float(pw.breakpoints[1]), 4097))
+        for xs in batches:
+            got, want = pw.eval_many(xs), eval_many_reference(pw, xs)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_eval_many_shapes_and_outside():
@@ -403,6 +435,15 @@ def test_threshold_complements_quantile():
     gammas = [threshold_for_false_alarm(d, a) for a in alphas]
     assert gammas == sorted(gammas, reverse=True)
     assert all(1.0 < g < 3.0 for g in gammas)
+
+
+@pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
+def test_quantile_and_threshold_match_bisection_on_the_reference(K, N):
+    # the CLI prints these with repr, so equal floats keep its output byte-identical
+    d = cached_dist(K, N)
+    for level in np.geomspace(1e-9, 0.5, 19).tolist():
+        assert quantile(d, level) == quantile_reference(d, level)
+        assert threshold_for_false_alarm(d, level) == quantile_reference(d, 1.0 - level)
 
 
 # --- moment identities -----------------------------------------------------------
