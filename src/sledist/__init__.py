@@ -9,12 +9,9 @@ from .backends import Backend, EigensolverError, get_backend
 from .coefficients import (
     CoefficientTable,
     ConsistencyError,
-    HankelSystem,
     ResourceLimitError,
     coefficient_table,
     d_constant,
-    hankel_system,
-    l_poly,
     table_from_json,
     table_to_json,
 )
@@ -32,11 +29,7 @@ from .distributions import (
     trace_moment,
     write_distribution_csv,
 )
-from .exact import (
-    ExpPolySum,
-    Polynomial,
-    Rational,
-)
+from .exact import Polynomial, Rational
 from .montecarlo import (
     GENERATOR_NAME,
     EmpiricalSample,
@@ -54,14 +47,10 @@ __all__ = [
     "__version__",
     "Rational",
     "Polynomial",
-    "ExpPolySum",
     "CoefficientTable",
-    "HankelSystem",
     "ConsistencyError",
     "ResourceLimitError",
-    "l_poly",
     "d_constant",
-    "hankel_system",
     "coefficient_table",
     "table_to_json",
     "table_from_json",

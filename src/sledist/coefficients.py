@@ -9,7 +9,9 @@ with ``j`` running over ``N-K .. (N+K)*i - 2*i**2`` for each ``i``.  This
 module produces the exact rational table ``c_{i,j}`` for every K >= 2 with
 one determinant engine, which expands the squared-Vandermonde integral over
 ``[0, x]^(K-1)`` into a Hankel determinant of the weighted incomplete moments
-L_a(x).
+L_a(x).  The engine runs on plain integers from the closed form of L_a to the
+determinant; every c_{i,j} is one of its integers over the common
+denominator 1/D(K,N), and becomes a ``Fraction`` only in the table.
 
 Every table validates itself: nonzero coefficients must land inside the index
 bounds above, and the table must satisfy the exact normalization
@@ -25,19 +27,15 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
-from .exact import ExpPolySum, Polynomial, Rational
+from .exact import Rational
 
 __all__ = [
     "ConsistencyError",
     "ResourceLimitError",
     "CoefficientTable",
-    "HankelSystem",
-    "l_poly",
     "d_constant",
-    "hankel_system",
     "coefficient_table",
     "table_to_json",
     "table_from_json",
@@ -47,6 +45,9 @@ __all__ = [
 # Exact tables beyond this K*N product blow past interactive time and memory
 # budgets (degrees and factorial magnitudes grow superlinearly).
 MAX_KN = 2000
+
+# e^(-m*x) x^k has coefficient e[m][k]: integer coefficient lists indexed by decay rate
+_IntExpPoly = list[list[int]]
 
 
 class ConsistencyError(Exception):
@@ -132,42 +133,18 @@ class CoefficientTable:
         return hash((self.K, self.N, tuple(sorted(self.nonzero().items()))))
 
 
-@dataclass(frozen=True)
-class HankelSystem:
-    """The (K-1) x (K-1) moment matrix whose determinant yields the density.
-
-    Entry (r, s) is L_{N-K+r+s}(x); the matrix is constant along
-    anti-diagonals because the entry depends on r+s only.
-    """
-
-    K: int
-    N: int
-    entries: tuple[tuple[ExpPolySum, ...], ...]
-
-    def __post_init__(self):
-        _check_shape(self.K, self.N)
-        n = self.K - 1
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ConsistencyError("moment matrix has wrong shape")
-
-    def determinant(self) -> ExpPolySum:
-        return _det_bareiss(self.entries)
-
-
-@lru_cache(maxsize=None)
-def l_poly(a: int) -> ExpPolySum:
+def _l_moment(a: int) -> _IntExpPoly:
     """The weighted incomplete moment L_a(x) = int_0^x t^a (x-t)^2 e^(-t) dt.
 
-    Closed form (repeated integration by parts), all coefficients integers:
+    Returned as integer coefficient lists indexed by decay rate, ``[steady,
+    decaying]``, for L_a = steady(x) + e^(-x) decaying(x).  Closed form
+    (repeated integration by parts):
         [(a+2)! - 2(a+1)! x + a! x^2]
         - e^(-x) * sum_{k=0}^{a} (a!/k!) (a-k+1) (a-k+2) x^k
     """
-    if a < 0:
-        raise ValueError(f"moment order must be nonnegative, got {a}")
-    steady = Polynomial([math.factorial(a + 2), -2 * math.factorial(a + 1), math.factorial(a)])
+    steady = [math.factorial(a + 2), -2 * math.factorial(a + 1), math.factorial(a)]
     falling = list(accumulate(range(a, 0, -1), operator.mul, initial=1))  # a!/(a-t)! at t
-    decaying = Polynomial([-falling[a - k] * (a - k + 1) * (a - k + 2) for k in range(a + 1)])
-    return ExpPolySum({0: steady, 1: decaying})
+    return [steady, [-falling[a - k] * (a - k + 1) * (a - k + 2) for k in range(a + 1)]]
 
 
 def d_constant(K: int, N: int) -> Rational:
@@ -260,9 +237,10 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _det_bareiss(rows: tuple[tuple[ExpPolySum, ...], ...]) -> ExpPolySum:
-    """Determinant over the ExpPolySum ring, for entries with integer coefficients.
+def _det_bareiss(rows: list[list[_IntExpPoly]]) -> _IntExpPoly:
+    """Determinant of a matrix of exponential polynomials with integer coefficients.
 
+    Entries and result are ``_IntExpPoly``; an empty list is a zero entry.
     With y = e^(-x) each entry is a polynomial in x and y over Z, and the
     determinant is one of y-degree at most d, the sum over rows of the largest
     decay rate.  Each coefficient is at most the product of the rows' sums of
@@ -273,19 +251,17 @@ def _det_bareiss(rows: tuple[tuple[ExpPolySum, ...], ...]) -> ExpPolySum:
     per polynomial product.  Lagrange interpolation in y runs on those
     integers, and unpacking the digits gives the coefficient of each e^(-m*x).
     """
-    if any(c.denominator != 1 for row in rows for e in row for p in e.terms.values() for c in p):
-        raise ConsistencyError("determinant engine needs integer coefficients")
-    ints = [[{m: [c.numerator for c in p] for m, p in e.terms.items()} for e in row] for row in rows]
-    bound = math.prod(sum(sum(abs(c) for p in e.values() for c in p) for e in row) for row in ints)
+    bound = math.prod(sum(abs(c) for e in row for p in e for c in p) for row in rows)
     if not bound:
-        return ExpPolySum()
+        return []
     width = (bound.bit_length() + 9) // 8
-    packed = [[{m: _pack(p, width) for m, p in e.items()} for e in row] for row in ints]
-    d = sum(max(max(e, default=0) for e in row) for row in ints)
-    values = [
-        _bareiss([[sum(v * y**m for m, v in e.items()) for e in row] for row in packed])
-        for y in range(d + 1)
-    ]
+    d = sum(max(map(len, row)) - 1 for row in rows)
+    # a Hankel matrix repeats one entry object along each anti-diagonal: pack it once
+    packed = {id(e): [_pack(p, width) for p in e] for row in rows for e in row}
+    values = []
+    for y in range(d + 1):
+        at_y = {key: sum(v * y**m for m, v in enumerate(e)) for key, e in packed.items()}
+        values.append(_bareiss([[at_y[id(e)] for e in row] for row in rows]))
     # d! times the Lagrange basis polynomial of node t is scale_t * prod_{s != t} (y - s)
     combined = [0] * (d + 1)
     for t, value in enumerate(values):
@@ -296,21 +272,13 @@ def _det_bareiss(rows: tuple[tuple[ExpPolySum, ...], ...]) -> ExpPolySum:
         scale = (-1) ** (d - t) * math.comb(d, t)
         for m, c in enumerate(basis):
             combined[m] += c * scale * value
-    terms = {}
-    for m, total in enumerate(combined):
+    terms = []
+    for total in combined:
         coeff_at_x, rest = divmod(total, math.factorial(d))
         if rest:
             raise ConsistencyError("determinant values are not a polynomial in e^(-x)")
-        terms[m] = Polynomial(_unpack(coeff_at_x, width))
-    return ExpPolySum(terms)
-
-
-def hankel_system(K: int, N: int) -> HankelSystem:
-    """Assemble the moment matrix with entries L_{N-K+r+s}(x)."""
-    _check_shape(K, N)
-    n = K - 1
-    rows = tuple(tuple(l_poly(N - K + r + s) for s in range(n)) for r in range(n))
-    return HankelSystem(K=K, N=N, entries=rows)
+        terms.append(_unpack(coeff_at_x, width))
+    return terms
 
 
 def coefficient_table(K: int, N: int) -> CoefficientTable:
@@ -318,17 +286,19 @@ def coefficient_table(K: int, N: int) -> CoefficientTable:
 
     The largest-eigenvalue density equals
         D(K,N) * x^(N-K) * e^(-x) * det[L_{N-K+r+s}(x)]_{r,s=0..K-2};
-    expanding the determinant (integer coefficients) in the ExpPolySum ring
-    and collecting the coefficient of e^(-i*x) x^j gives c_{i,j} directly.
+    the determinant has integer coefficients, and its coefficient of
+    e^(-(i-1)*x) x^(j-N+K), times D(K,N), is c_{i,j}.
     """
     _check_shape(K, N)
     _check_size(K, N)
-    det = hankel_system(K, N).determinant()
+    n = K - 1
+    moments = [_l_moment(N - K + a) for a in range(2 * n - 1)]
+    det = _det_bareiss([[moments[r + s] for s in range(n)] for r in range(n)])
     denom = d_constant(K, N).denominator
     nonzero = {
-        (m + 1, k + N - K): Fraction(c.numerator, denom)
-        for m, poly in det.terms.items()
-        for k, c in enumerate(poly)
+        (m + 1, k + N - K): Fraction(c, denom)
+        for m, coeffs in enumerate(det)
+        for k, c in enumerate(coeffs)
         if c
     }
     return _full_rectangle(K, N, nonzero)

@@ -124,14 +124,7 @@ class PiecewisePolynomial:
         """Index of the segment owning x (right-continuous; upper endpoint closed)."""
         if not self.lower <= x <= self.upper:
             raise ValueError(f"{x} outside span [{self.lower}, {self.upper}]")
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if x >= self.breakpoints[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return min(bisect_right(self.breakpoints, x), len(self.segments)) - 1
 
     def value_exact(self, x: Rational) -> Fraction:
         x = Fraction(x)

@@ -1,10 +1,9 @@
-"""Exact rational scalars, dense univariate polynomials, and exponential-polynomial sums.
+"""Exact rational scalars and dense univariate polynomials.
 
 Everything in this module is exact: scalars are arbitrary-precision rationals
-(``fractions.Fraction``), polynomials are dense coefficient tuples over those
-rationals, and an :class:`ExpPolySum` is a finite sum ``sum_m exp(-m*x) * P_m(x)``
-with polynomial ``P_m``.  No floating point enters at any stage; callers convert
-to floats only at their own evaluation boundaries.
+(``fractions.Fraction``) and polynomials are dense coefficient tuples over
+those rationals.  No floating point enters at any stage; callers convert to
+floats only at their own evaluation boundaries.
 
 The magnitudes involved are extreme by design.  Constants scale like ``(K*N-1)!``
 (around 10**868 for ``K=4, N=100``) and cancel down to order one, which is why
@@ -15,12 +14,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 __all__ = [
     "Rational",
     "Polynomial",
-    "ExpPolySum",
 ]
 
 # The rational scalar for all symbolic work.  fractions.Fraction already
@@ -161,76 +159,3 @@ class Polynomial:
             return "Polynomial(0)"
         parts = [f"{c}*x^{k}" if k else f"{c}" for k, c in enumerate(self._coeffs) if c]
         return "Polynomial(" + " + ".join(parts) + ")"
-
-
-class ExpPolySum:
-    """Finite sum ``sum_m exp(-m*x) * P_m(x)`` with polynomial coefficients.
-
-    ``terms`` maps the nonnegative integer decay rate ``m`` to the polynomial
-    ``P_m``; identically-zero polynomials are never stored.  The set is closed
-    under addition and multiplication (``exp(-a*x)P * exp(-b*x)Q =
-    exp(-(a+b)*x) PQ``), which makes it the natural ring for the determinant
-    expansions feeding the coefficient tables.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, Polynomial] | None = None):
-        clean: dict[int, Polynomial] = {}
-        if terms:
-            for m, p in terms.items():
-                if m < 0:
-                    raise ValueError(f"negative decay rate {m}")
-                if not isinstance(p, Polynomial):
-                    p = Polynomial(p)
-                if not p.is_zero:
-                    clean[int(m)] = p
-        self._terms = clean
-
-    @property
-    def terms(self) -> dict[int, Polynomial]:
-        return dict(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExpPolySum):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __add__(self, other: "ExpPolySum") -> "ExpPolySum":
-        if not isinstance(other, ExpPolySum):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, p in other._terms.items():
-            q = out.get(m)
-            out[m] = p if q is None else q + p
-        return ExpPolySum(out)
-
-    def __neg__(self) -> "ExpPolySum":
-        return ExpPolySum({m: -p for m, p in self._terms.items()})
-
-    def __sub__(self, other: "ExpPolySum") -> "ExpPolySum":
-        if not isinstance(other, ExpPolySum):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "ExpPolySum") -> "ExpPolySum":
-        if not isinstance(other, ExpPolySum):
-            return NotImplemented
-        out: dict[int, Polynomial] = {}
-        for m1, p1 in self._terms.items():
-            for m2, p2 in other._terms.items():
-                m = m1 + m2
-                prod = p1 * p2
-                q = out.get(m)
-                out[m] = prod if q is None else q + prod
-        return ExpPolySum(out)
-
-    def scale(self, factor: RationalLike) -> "ExpPolySum":
-        return ExpPolySum({m: p.scale(factor) for m, p in self._terms.items()})
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "ExpPolySum(0)"
-        parts = [f"e^(-{m}x)*({p!r})" for m, p in sorted(self._terms.items())]
-        return "ExpPolySum(" + " + ".join(parts) + ")"
-

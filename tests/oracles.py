@@ -1,19 +1,23 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
-and a float evaluation dispatch with one mask per segment.
+the exponential-polynomial ring with the moments L_a and the K = 4 determinant
+in it, and a float evaluation dispatch with one mask per segment.
 
-sledist builds every table with the Hankel determinant engine; these printed
-formulas are an independent derivation that the tests compare it against.
-The mask dispatch, with one barycentric block per 4096 points of a segment,
-gives the floats that warm evaluation must reproduce bit for bit.
+sledist builds every table with the Hankel determinant engine on plain
+integers; these printed formulas and ring expansions are an independent
+derivation that the tests compare it against.  The mask dispatch, with one
+barycentric block per 4096 points of a segment, gives the floats that warm
+evaluation must reproduce bit for bit.
 """
 
 import math
 from fractions import Fraction
 from math import factorial as _fact
+from typing import Mapping
 
 import numpy as np
 
 from sledist.coefficients import CoefficientTable, _full_rectangle, index_upper
+from sledist.exact import Polynomial, RationalLike
 
 
 def reciprocal_factorial(n: int) -> Fraction:
@@ -119,6 +123,117 @@ def closed_form_k3(N: int) -> CoefficientTable:
             t[(3, j)] = s
 
     return _full_rectangle(3, N, t)
+
+
+# ---------------------------------------------------------------------------
+# the exponential-polynomial ring
+
+
+class ExpPolySum:
+    """Finite sum ``sum_m exp(-m*x) * P_m(x)`` with polynomial coefficients.
+
+    ``terms`` maps the nonnegative integer decay rate ``m`` to the polynomial
+    ``P_m``; identically-zero polynomials are never stored.  The set is closed
+    under addition and multiplication (``exp(-a*x)P * exp(-b*x)Q =
+    exp(-(a+b)*x) PQ``), which makes it the natural ring for the determinant
+    expansions feeding the coefficient tables.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[int, Polynomial] | None = None):
+        clean: dict[int, Polynomial] = {}
+        if terms:
+            for m, p in terms.items():
+                if m < 0:
+                    raise ValueError(f"negative decay rate {m}")
+                if not isinstance(p, Polynomial):
+                    p = Polynomial(p)
+                if not p.is_zero:
+                    clean[int(m)] = p
+        self._terms = clean
+
+    @property
+    def terms(self) -> dict[int, Polynomial]:
+        return dict(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExpPolySum):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __add__(self, other: "ExpPolySum") -> "ExpPolySum":
+        if not isinstance(other, ExpPolySum):
+            return NotImplemented
+        out = dict(self._terms)
+        for m, p in other._terms.items():
+            q = out.get(m)
+            out[m] = p if q is None else q + p
+        return ExpPolySum(out)
+
+    def __neg__(self) -> "ExpPolySum":
+        return ExpPolySum({m: -p for m, p in self._terms.items()})
+
+    def __sub__(self, other: "ExpPolySum") -> "ExpPolySum":
+        if not isinstance(other, ExpPolySum):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: "ExpPolySum") -> "ExpPolySum":
+        if not isinstance(other, ExpPolySum):
+            return NotImplemented
+        out: dict[int, Polynomial] = {}
+        for m1, p1 in self._terms.items():
+            for m2, p2 in other._terms.items():
+                m = m1 + m2
+                prod = p1 * p2
+                q = out.get(m)
+                out[m] = prod if q is None else q + prod
+        return ExpPolySum(out)
+
+    def scale(self, factor: RationalLike) -> "ExpPolySum":
+        return ExpPolySum({m: p.scale(factor) for m, p in self._terms.items()})
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "ExpPolySum(0)"
+        parts = [f"e^(-{m}x)*({p!r})" for m, p in sorted(self._terms.items())]
+        return "ExpPolySum(" + " + ".join(parts) + ")"
+
+
+def as_exppoly(entry: list[list[int]]) -> ExpPolySum:
+    """The engine's integer coefficient lists, indexed by decay rate, as an ExpPolySum."""
+    return ExpPolySum({m: Polynomial(p) for m, p in enumerate(entry)})
+
+
+def l_moment_oracle(a: int) -> ExpPolySum:
+    """L_a(x) = int_0^x t^a (x-t)^2 e^(-t) dt, through the lower incomplete gamma function.
+
+    With gamma(n+1, x) = int_0^x t^n e^(-t) dt = n! (1 - e^(-x) sum_{k<=n} x^k/k!),
+    expanding (x-t)^2 gives L_a = x^2 gamma(a+1, x) - 2x gamma(a+2, x) + gamma(a+3, x),
+    a derivation apart from the engine's closed form.
+    """
+
+    def gamma(n: int) -> ExpPolySum:  # gamma(n+1, x)
+        tail = [-Fraction(_fact(n), _fact(k)) for k in range(n + 1)]
+        return ExpPolySum({0: Polynomial([_fact(n)]), 1: Polynomial(tail)})
+
+    def x_power(k: int, c: int) -> ExpPolySum:
+        return ExpPolySum({0: Polynomial([0] * k + [c])})
+
+    return x_power(2, 1) * gamma(a) - x_power(1, 2) * gamma(a + 1) + gamma(a + 2)
+
+
+def five_product_k4(N: int) -> ExpPolySum:
+    """The K = 4 Hankel determinant det[L_{N-4+r+s}], r, s = 0..2, expanded into five products."""
+    L = {a: l_moment_oracle(a) for a in range(N - 4, N + 1)}
+    return (
+        (L[N - 1] * L[N - 2] * L[N - 3]).scale(2)
+        + L[N] * L[N - 2] * L[N - 4]
+        - L[N - 3] * L[N - 3] * L[N]
+        - L[N - 1] * L[N - 1] * L[N - 4]
+        - L[N - 2] * L[N - 2] * L[N - 2]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ import pytest
 
 from sledist import (
     coefficient_table,
-    hankel_system,
-    l_poly,
     lambda1_moment,
     ks_distance,
     quantile,
@@ -28,10 +26,11 @@ from sledist import (
     table_to_json,
     trace_moment,
 )
+from sledist.coefficients import _det_bareiss, _l_moment
 from sledist.exact import Polynomial
 
 from conftest import EXACT_CONFIGS, MC_CONFIGS, cached_dist, cached_table
-from oracles import closed_form_k2, closed_form_k3
+from oracles import as_exppoly, closed_form_k2, closed_form_k3, five_product_k4
 
 
 def test_acceptance_density_normalization_exact():
@@ -53,17 +52,10 @@ def test_acceptance_engine_cross_validation():
         assert coefficient_table(2, N).entries == closed_form_k2(N).entries, N
     for N in range(3, 31):
         assert coefficient_table(3, N).entries == closed_form_k3(N).entries, N
-    # K = 4: the 3x3 determinant of L-polynomials collapses to five products
+    # K = 4: the engine's integer 3x3 determinant of the L_a equals five ring products
     for N in range(4, 16):
-        L = {a: l_poly(a) for a in range(N - 4, N + 1)}
-        five = (
-            (L[N - 1] * L[N - 2] * L[N - 3]).scale(2)
-            + L[N] * L[N - 2] * L[N - 4]
-            - L[N - 3] * L[N - 3] * L[N]
-            - L[N - 1] * L[N - 1] * L[N - 4]
-            - L[N - 2] * L[N - 2] * L[N - 2]
-        )
-        assert hankel_system(4, N).determinant() == five, N
+        rows = [[_l_moment(N - 4 + r + s) for s in range(3)] for r in range(3)]
+        assert as_exppoly(_det_bareiss(rows)) == five_product_k4(N), N
 
 
 def test_acceptance_moment_product_identity_exact():

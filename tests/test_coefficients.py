@@ -13,21 +13,32 @@ from hypothesis import strategies as st
 from sledist import (
     CoefficientTable,
     ConsistencyError,
-    ExpPolySum,
-    HankelSystem,
     Polynomial,
     ResourceLimitError,
     coefficient_table,
     d_constant,
-    hankel_system,
-    l_poly,
     table_from_json,
     table_to_json,
 )
-from sledist.coefficients import MAX_KN, _pack, _unpack, index_upper
+from sledist.coefficients import (
+    MAX_KN,
+    _det_bareiss,
+    _full_rectangle,
+    _l_moment,
+    _pack,
+    _unpack,
+    index_upper,
+)
 
 from conftest import EXACT_CONFIGS, cached_table
-from oracles import closed_form_k2, closed_form_k3
+from oracles import (
+    ExpPolySum,
+    as_exppoly,
+    closed_form_k2,
+    closed_form_k3,
+    five_product_k4,
+    l_moment_oracle,
+)
 
 
 # --- L_a -------------------------------------------------------------------
@@ -35,9 +46,14 @@ from oracles import closed_form_k2, closed_form_k3
 
 def test_l_poly_hand_cases():
     # a = 0: (x^2 - 2x + 2) - 2 e^(-x)
-    assert l_poly(0) == ExpPolySum({0: Polynomial([2, -2, 1]), 1: Polynomial([-2])})
+    assert _l_moment(0) == [[2, -2, 1], [-2]]
     # a = 1: (x^2 - 4x + 6) - (2x + 6) e^(-x)
-    assert l_poly(1) == ExpPolySum({0: Polynomial([6, -4, 1]), 1: Polynomial([-6, -2])})
+    assert _l_moment(1) == [[6, -4, 1], [-6, -2]]
+
+
+@pytest.mark.parametrize("a", range(12))
+def test_l_moment_matches_incomplete_gamma_oracle(a):
+    assert as_exppoly(_l_moment(a)) == l_moment_oracle(a)
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 4, 7])
@@ -46,19 +62,13 @@ def test_l_poly_matches_quadrature_oracle(a, x):
     # independent oracle: numerically integrate the defining integral
     with mpmath.mp.workprec(160):
         oracle = mpmath.quad(lambda t: t**a * (x - t) ** 2 * mpmath.e**-t, [0, x])
-        got = sum(math.exp(-m * x) * float(p(F(x))) for m, p in l_poly(a).terms.items())
+        got = sum(math.exp(-m * x) * float(Polynomial(p)(F(x))) for m, p in enumerate(_l_moment(a)))
         assert abs(got - float(oracle)) < 1e-10 * max(1.0, float(oracle))
 
 
 @pytest.mark.parametrize("a", [0, 1, 3, 10])
 def test_l_poly_vanishes_at_origin(a):
-    f = l_poly(a)
-    assert sum(p(F(0)) for p in f.terms.values()) == 0
-
-
-def test_l_poly_negative_rejected():
-    with pytest.raises(ValueError):
-        l_poly(-1)
+    assert sum(p[0] for p in _l_moment(a)) == 0
 
 
 # --- normalizing constant ---------------------------------------------------
@@ -112,13 +122,9 @@ def test_empty_summation_ranges_give_zero():
 # --- determinant engine ------------------------------------------------------
 
 
-def test_hankel_system_structure():
-    sys = hankel_system(4, 6)
-    for r in range(3):
-        for s in range(3):
-            assert sys.entries[r][s] == l_poly(2 + r + s)
-    # entries depend on r+s only
-    assert sys.entries[0][2] == sys.entries[1][1] == sys.entries[2][0]
+def _hankel(K, N, moment):
+    """The (K-1) x (K-1) moment matrix with entries L_{N-K+r+s}, from ``moment(a)``."""
+    return [[moment(N - K + r + s) for s in range(K - 1)] for r in range(K - 1)]
 
 
 @pytest.mark.parametrize("N", range(2, 31))
@@ -133,26 +139,15 @@ def test_engine_matches_k3_closed_form(N):
     assert hash(engine) == hash(closed)
 
 
-def _five_term_expansion(N):
-    L = {a: l_poly(a) for a in range(N - 4, N + 1)}
-    return (
-        (L[N - 1] * L[N - 2] * L[N - 3]).scale(2)
-        + L[N] * L[N - 2] * L[N - 4]
-        - L[N - 3] * L[N - 3] * L[N]
-        - L[N - 1] * L[N - 1] * L[N - 4]
-        - L[N - 2] * L[N - 2] * L[N - 2]
-    )
-
-
 @pytest.mark.parametrize("N", range(4, 16))
 def test_k4_determinant_equals_five_term_expansion(N):
-    assert hankel_system(4, N).determinant() == _five_term_expansion(N)
+    assert as_exppoly(_det_bareiss(_hankel(4, N, _l_moment))) == five_product_k4(N)
 
 
 def test_k3_determinant_equals_two_by_two_expansion():
     for N in (3, 5, 9):
-        L1, L2, L3 = l_poly(N - 1), l_poly(N - 2), l_poly(N - 3)
-        assert hankel_system(3, N).determinant() == L1 * L3 - L2 * L2
+        L1, L2, L3 = (l_moment_oracle(N - k) for k in (1, 2, 3))
+        assert as_exppoly(_det_bareiss(_hankel(3, N, _l_moment))) == L1 * L3 - L2 * L2
 
 
 def _det_exppoly(rows):
@@ -187,21 +182,29 @@ def _det_exppoly(rows):
     "K,N", [(K, N) for K in range(2, 7) for N in (K, K + 1, K + 4, 2 * K + 5, 20)] + [(8, 8)]
 )
 def test_determinant_matches_subset_dp(K, N):
-    sys = hankel_system(K, N)
-    assert sys.determinant() == _det_exppoly(sys.entries)
+    rows = _hankel(K, N, _l_moment)
+    assert as_exppoly(_det_bareiss(rows)) == _det_exppoly(
+        [[as_exppoly(e) for e in row] for row in rows]
+    )
 
 
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(8, 8)])
-def test_table_matches_subset_dp_table(K, N, monkeypatch):
-    engine = coefficient_table(K, N)
-    monkeypatch.setattr(HankelSystem, "determinant", lambda self: _det_exppoly(self.entries))
-    assert engine == coefficient_table(K, N)
+def test_table_matches_subset_dp_table(K, N):
+    # the oracle shares no code with the engine's matrix assembly or determinant
+    det = _det_exppoly(_hankel(K, N, l_moment_oracle))
+    nonzero = {
+        (m + 1, k + N - K): c * d_constant(K, N)
+        for m, poly in det.terms.items()
+        for k, c in enumerate(poly)
+        if c
+    }
+    assert coefficient_table(K, N) == _full_rectangle(K, N, nonzero)
 
 
 def test_determinant_pivots_past_zero_entries():
     # zero pivots force row swaps, singular 2x2 pivot blocks force single
     # elimination steps, and an all-zero matrix has no pivot at all
-    zero, a, b, c = ExpPolySum(), l_poly(1), l_poly(2), l_poly(3)
+    zero, a, b, c = [], _l_moment(1), _l_moment(2), _l_moment(3)
     for rows in (
         ((zero, a), (a, b)),
         ((zero, a, b), (a, b, c), (b, c, zero)),
@@ -211,14 +214,8 @@ def test_determinant_pivots_past_zero_entries():
         ((a, b, c, zero), (a, b, a, c), (b, zero, c, a), (c, a, zero, b)),
         ((zero, zero), (zero, zero)),
     ):
-        sys = HankelSystem(K=len(rows) + 1, N=len(rows) + 1, entries=rows)
-        assert sys.determinant() == _det_exppoly(rows)
-
-
-def test_determinant_rejects_fractional_entries():
-    half = ExpPolySum({1: Polynomial([F(1, 2)])})
-    with pytest.raises(ConsistencyError):
-        HankelSystem(K=2, N=2, entries=((half,),)).determinant()
+        expected = _det_exppoly([[as_exppoly(e) for e in row] for row in rows])
+        assert as_exppoly(_det_bareiss(rows)) == expected
 
 
 def test_coefficient_table_k10_builds_and_normalizes():

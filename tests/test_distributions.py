@@ -391,6 +391,15 @@ def test_segment_index_convention():
     assert pp.segment_index(F(4)) == 2
     with pytest.raises(ValueError):
         pp.segment_index(F(9, 2))
+    # every breakpoint and segment midpoint at (6,6) against a linear scan
+    pp = cached_dist(6, 6).pdf
+    bps = pp.breakpoints
+    points = [*bps, *((lo + hi) / 2 for lo, hi in zip(bps, bps[1:]))]
+    for x in points:
+        owner = max(t for t in range(len(pp.segments)) if bps[t] <= x)
+        assert pp.segment_index(x) == owner, x
+    with pytest.raises(ValueError):
+        pp.segment_index(F(99, 100))
 
 
 # --- quantiles ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: polynomials, exponential-polynomial sums, conventions."""
+"""Exact-arithmetic core: polynomials, the exponential-polynomial oracle ring, conventions."""
 
 import math
 from fractions import Fraction as F
@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sledist import (
-    ExpPolySum,
-    Polynomial,
-)
+from sledist import Polynomial
 
-from oracles import reciprocal_factorial
+from oracles import ExpPolySum, reciprocal_factorial
 from sturm import count_real_roots
 
 rationals = st.fractions(
