@@ -498,9 +498,10 @@ def default_grid(K: int, n: int = 512) -> np.ndarray:
     """n uniform points on [1, K] merged with the breakpoints K/i (kinks stay visible)."""
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
-    uniform = np.linspace(1.0, float(K), n)
-    bps = np.array([float(b) for b in _sle_breakpoints(K)])
-    return np.union1d(uniform, bps)
+    # a set of Python floats, not np.union1d: np.unique imports numpy.ma on first use
+    points = set(np.linspace(1.0, float(K), n).tolist())
+    points.update(float(b) for b in _sle_breakpoints(K))
+    return np.array(sorted(points))
 
 
 def write_distribution_csv(d: SleDistribution, grid: np.ndarray, stream: IO[str]) -> None:

@@ -1,12 +1,14 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
 the exponential-polynomial ring with the moments L_a and the K = 4 determinant
-in it, and a float evaluation dispatch with one mask per segment.
+in it, a float evaluation dispatch with one mask per segment, and the serial
+Monte Carlo sampler.
 
 sledist builds every table with the Hankel determinant engine on plain
 integers; these printed formulas and ring expansions are an independent
 derivation that the tests compare it against.  The mask dispatch, with one
 barycentric block per 4096 points of a segment, gives the floats that warm
-evaluation must reproduce bit for bit.
+evaluation must reproduce bit for bit.  The serial sampler pins the Monte
+Carlo stream that the pipelined ``sample_sle`` must reproduce bit for bit.
 """
 
 import math
@@ -299,3 +301,48 @@ def quantile_reference(d, p: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# the serial Monte Carlo sampler
+
+_SAMPLE_CHUNK = 4096  # matrices per draw: part of the stream definition
+
+
+def _sle_statistic_reference(Z: np.ndarray) -> np.ndarray:
+    """The SLE statistic of a batch in one Gram product and one eigensolve."""
+    K = Z.shape[1]
+    R = Z @ Z.conj().swapaxes(-1, -2)
+    trace = np.einsum("sii->s", R).real
+    evals = np.linalg.eigvalsh(R)
+    return K * evals[:, -1] / trace
+
+
+def _draw(rng: np.random.Generator, K: int, N: int, count: int) -> np.ndarray:
+    out = np.empty(count)
+    done = 0
+    while done < count:
+        m = min(_SAMPLE_CHUNK, count - done)
+        Z = (rng.standard_normal((m, K, N)) + 1j * rng.standard_normal((m, K, N))) * math.sqrt(0.5)
+        out[done : done + m] = _sle_statistic_reference(Z)
+        done += m
+    return out
+
+
+def sample_sle_reference(config) -> np.ndarray:
+    """Sorted statistics of ``sample_sle(config)``, drawn and solved one chunk after another.
+
+    This is the sampler's stream definition, kept serial: partition p draws
+    from Philox seeded by the p-th child of SeedSequence(seed), in chunks of
+    4096 matrices, all real parts of a chunk before all its imaginary parts.
+    """
+    children = np.random.SeedSequence(config.seed).spawn(config.partitions)
+    base, extra = divmod(config.samples, config.partitions)
+    parts = []
+    for p, child in enumerate(children):
+        count = base + (1 if p < extra else 0)
+        if count == 0:
+            continue
+        rng = np.random.Generator(np.random.Philox(child))
+        parts.append(_draw(rng, config.K, config.N, count))
+    return np.sort(np.concatenate(parts))

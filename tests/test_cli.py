@@ -69,6 +69,19 @@ def test_repeat_invocations_byte_identical():
     assert a.stdout == b.stdout and len(a.stdout) > 0
 
 
+def test_cdf_run_imports_neither_numpy_ma_nor_concurrent_futures():
+    # numpy.ma costs about 15 ms to import and the sampler's thread pool is
+    # imported only when sampling; a curve run needs neither
+    code = (
+        "import sys; from sledist.cli import main; "
+        "main(['cdf', '--K', '4', '--N', '10', '--grid', '64']); "
+        "sys.stderr.write(str([m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules]))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.startswith("x,pdf,cdf\n")
+    assert run.stderr == "[]"
+
+
 # --- curves ------------------------------------------------------------------
 
 

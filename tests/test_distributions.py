@@ -506,6 +506,16 @@ def test_default_grid_contains_breakpoints():
     assert grid[0] == 1.0 and grid[-1] == 4.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 512, 1000])
+@pytest.mark.parametrize("K", range(2, 11))
+def test_default_grid_matches_union1d(K, n):
+    bps = np.array([float(F(K, i)) for i in range(K, 0, -1)])
+    expected = np.union1d(np.linspace(1.0, float(K), n), bps)
+    grid = default_grid(K, n)
+    assert grid.dtype == expected.dtype
+    assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS)
 def test_csv_cdf_within_unit_interval(K, N):
     d = cached_dist(K, N)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from sledist import (
     GENERATOR_NAME,
     ConsistencyError,
+    EigensolverError,
     EmpiricalSample,
     SimulationConfig,
     ks_distance,
@@ -18,7 +21,10 @@ from sledist import (
     write_sample_csv,
 )
 
+from sledist.cli import main
+
 from conftest import cached_dist
+from oracles import _sle_statistic_reference, sample_sle_reference
 
 
 def _sample(K=2, N=10, samples=400, seed=7, partitions=1):
@@ -85,6 +91,51 @@ def test_partitions_cover_all_samples():
     assert np.all(np.diff(s.values) >= 0)
 
 
+@pytest.mark.parametrize(
+    "K,N,samples,partitions",
+    [
+        (2, 10, 9000, 1),  # three chunks, the last one partial
+        (3, 40, 4096, 1),  # exactly one chunk
+        (4, 10, 10001, 3),
+        (6, 6, 1, 1),
+        (2, 10, 401, 7),
+    ],
+)
+def test_stream_matches_serial_reference(K, N, samples, partitions):
+    config = SimulationConfig(K=K, N=N, samples=samples, seed=2024, partitions=partitions)
+    got = sample_sle(config).values
+    assert np.array_equal(got.view(np.uint64), sample_sle_reference(config).view(np.uint64))
+
+
+def test_stream_unchanged_under_frequent_thread_switches():
+    # the worker writes into the shared values array while the caller draws;
+    # switching threads every microsecond would expose a read before a write
+    config = SimulationConfig(K=3, N=5, samples=20000, seed=99, partitions=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_sle(config).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.view(np.uint64), sample_sle_reference(config).view(np.uint64))
+
+
+def test_eigensolver_failure_in_worker_propagates(monkeypatch, capsys):
+    def boom(mats):
+        raise np.linalg.LinAlgError("did not converge")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    # several chunks, so the worker fails while the next chunk is being drawn
+    with pytest.raises(EigensolverError, match="LAPACK"):
+        _sample(samples=9000)
+    assert threading.active_count() == threads
+    code = main(["validate", "--K", "2", "--N", "6", "--samples", "500", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "LAPACK" in err
+    assert threading.active_count() == threads
+
+
 # --- the statistic itself --------------------------------------------------------
 
 
@@ -112,6 +163,18 @@ def test_statistic_equals_eigensum_identity():
     np.testing.assert_allclose(tr_prod, tr_abs, rtol=1e-12)
     evals = np.linalg.eigvalsh(R)
     np.testing.assert_allclose(evals.sum(axis=1), tr_abs, rtol=1e-9)
+
+
+@pytest.mark.parametrize("K,N", [(2, 10), (6, 6), (3, 40)])
+def test_blocked_statistic_matches_single_matrix_calls(K, N):
+    rng = np.random.default_rng(K * 100 + N)
+    Z = (rng.standard_normal((4096, K, N)) + 1j * rng.standard_normal((4096, K, N))) * np.sqrt(0.5)
+    batch = sle_statistic(Z).view(np.uint64)
+    assert np.array_equal(batch, _sle_statistic_reference(Z).view(np.uint64))
+    per_matrix = np.concatenate([sle_statistic(Z[i : i + 1]) for i in range(len(Z))])
+    single = np.array([sle_statistic(z) for z in Z])
+    assert np.array_equal(batch, per_matrix.view(np.uint64))
+    assert np.array_equal(batch, single.view(np.uint64))
 
 
 def test_single_matrix_statistic_in_support():
