@@ -3,12 +3,20 @@
 The statistic X = lambda_max(R) / (trace(R)/K) for R = Z Z^H with Z a K x N
 standard complex Gaussian matrix.  Everything symbolic is exact rational
 arithmetic; floats appear only at evaluation boundaries.
+
+``import sledist`` loads neither numpy nor the sampler.  The exact names
+(tables, assembly, moments) are imported here; numpy loads on the first float
+evaluation (see ``sledist.distributions``).  The sampler and backend names,
+whose modules import numpy, are served on first access by the module
+``__getattr__`` (PEP 562).
 """
 
-from .backends import Backend, EigensolverError, get_backend
+import importlib
+
 from .coefficients import (
     CoefficientTable,
     ConsistencyError,
+    EigensolverError,
     ResourceLimitError,
     coefficient_table,
     d_constant,
@@ -30,16 +38,20 @@ from .distributions import (
     write_distribution_csv,
 )
 from .exact import Polynomial, Rational
-from .montecarlo import (
-    GENERATOR_NAME,
-    EmpiricalSample,
-    SimulationConfig,
-    ks_distance,
-    sample_metadata,
-    sample_sle,
-    sle_statistic,
-    write_sample_csv,
-)
+
+# names served by __getattr__, each from the module that imports numpy
+_LAZY = {
+    "GENERATOR_NAME": "montecarlo",
+    "EmpiricalSample": "montecarlo",
+    "SimulationConfig": "montecarlo",
+    "ks_distance": "montecarlo",
+    "sample_metadata": "montecarlo",
+    "sample_sle": "montecarlo",
+    "sle_statistic": "montecarlo",
+    "write_sample_csv": "montecarlo",
+    "Backend": "backends",
+    "get_backend": "backends",
+}
 
 __version__ = "0.1.0"
 
@@ -78,3 +90,10 @@ __all__ = [
     "EigensolverError",
     "get_backend",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -1,9 +1,10 @@
 """The batched Hermitian eigensolver behind the Monte Carlo sampler.
 
 One backend exists: numpy's LAPACK ``eigvalsh``, with a LAPACK failure
-wrapped in :class:`EigensolverError`.  ``sle_statistic`` looks it up through
-``get_backend`` on every call, so the benchmark's tracer can substitute a
-timed copy of the :class:`Backend` dataclass.
+wrapped in :class:`EigensolverError`, which is defined in the numpy-free
+``coefficients`` module and re-exported here.  ``sle_statistic`` looks it up
+through ``get_backend`` on every call, so the benchmark's tracer can
+substitute a timed copy of the :class:`Backend` dataclass.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import EigensolverError
+
 __all__ = ["Backend", "EigensolverError", "get_backend"]
-
-
-class EigensolverError(Exception):
-    """An eigenvalue computation failed to converge; carries diagnostics."""
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ Subcommands:
 All outputs are deterministic: identical invocations produce byte-identical
 bytes.  `--out PATH` redirects to a file (validate also writes `PATH` sample
 CSV plus a `PATH.meta.json` sidecar); the default is stdout.
+
+Only `validate` imports the sampler, and `coeffs` and `moments` never load
+numpy (see `sledist.distributions`).
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ import math
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
-from .backends import EigensolverError
 from .coefficients import (
     ConsistencyError,
+    EigensolverError,
     ResourceLimitError,
     coefficient_table,
     table_to_json,
@@ -39,14 +40,6 @@ from .distributions import (
     threshold_for_false_alarm,
     trace_moment,
     write_distribution_csv,
-)
-from .montecarlo import (
-    GENERATOR_NAME,
-    SimulationConfig,
-    ks_distance,
-    sample_metadata,
-    sample_sle,
-    write_sample_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -151,6 +144,18 @@ def _run_moments(args) -> int:
 
 
 def _run_validate(args) -> int:
+    # the sampler, and with it numpy, loads before the table, as with eager imports
+    import numpy as np
+
+    from .montecarlo import (
+        GENERATOR_NAME,
+        SimulationConfig,
+        ks_distance,
+        sample_metadata,
+        sample_sle,
+        write_sample_csv,
+    )
+
     table = coefficient_table(args.K, args.N)
     dist = sle_distribution(table)
     config = SimulationConfig(

@@ -58,6 +58,11 @@ class ResourceLimitError(Exception):
     """Requested problem size exceeds the practical exact-arithmetic budget."""
 
 
+# the sampler's error lives with the others, so the CLI can catch it without importing numpy
+class EigensolverError(Exception):
+    """An eigenvalue computation failed to converge; carries diagnostics."""
+
+
 def index_upper(K: int, i: int, N: int) -> int:
     """Largest power of x carried by the exp(-i*x) block."""
     return (N + K) * i - 2 * i * i
@@ -117,13 +122,7 @@ class CoefficientTable:
 
     def normalization(self) -> Fraction:
         """Exact total mass: sum over entries of c * j! / i^(j+1)."""
-        top = max(j for _, j in self.entries)
-        fact = list(accumulate(range(1, top + 1), operator.mul, initial=1))  # j! at j
-        total = Fraction(0)
-        for (i, j), c in self.entries.items():
-            if c:
-                total += c * fact[j] / Fraction(i) ** (j + 1)
-        return total
+        return moment_sum(self.entries, 1)
 
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {k: v for k, v in self.entries.items() if v}
@@ -131,6 +130,42 @@ class CoefficientTable:
     # dict fields are unhashable, so hash the content, as __eq__ compares it
     def __hash__(self) -> int:
         return hash((self.K, self.N, tuple(sorted(self.nonzero().items()))))
+
+
+def moment_sum(entries: dict[tuple[int, int], Fraction], z: int) -> Fraction:
+    """Exact sum over entries of c_ij * (z+j-1)! / i^(z+j), the density's moment of order z-1.
+
+    Each row i is summed on integers: with D a common denominator of its
+    entries n_ij/d_ij and J its largest j, the row is
+        sum_j n_ij (D/d_ij) (z+j-1)! i^(J-j) / (D i^(z+J)),
+    and the numerator runs by Horner's rule in i, so a row costs one Fraction.
+    D starts at 1; an entry whose denominator does not divide it multiplies
+    D, and the partial sum, by d_ij / gcd(D, d_ij).  One divmod per entry
+    decides that, and is cheap once D has all of the row's factors.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), c in entries.items():
+        if c:
+            rows.setdefault(i, {})[j] = c
+    top = max((j for row in rows.values() for j in row), default=0)
+    fact = list(accumulate(range(z, z + top), operator.mul, initial=math.factorial(z - 1)))
+    total = Fraction(0)
+    for i, row in rows.items():
+        D, acc, J = 1, 0, max(row)
+        for j in range(min(row), J + 1):
+            acc *= i
+            c = row.get(j)
+            if c is not None:
+                d = c.denominator
+                scale, rest = divmod(D, d)
+                if rest:
+                    grow = d // math.gcd(D, d)
+                    D *= grow
+                    acc *= grow
+                    scale = D // d
+                acc += c.numerator * scale * fact[j]
+        total += Fraction(acc, D * i ** (z + J))
+    return total
 
 
 def _l_moment(a: int) -> _IntExpPoly:

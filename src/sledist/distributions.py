@@ -27,6 +27,12 @@ bisection calls, stays on Python floats up to the model's one-row product;
 ``eval_many`` groups a batch by segment with one stable sort.  The tests hold
 both, bit for bit, to a reference dispatch that selects each segment's points
 by a mask.
+
+numpy loads on the first float operation: a model build, ``eval_many``,
+``default_grid`` or ``write_distribution_csv``.  Until then this module, and
+so the exact assembly, the checks and the moments, import nothing outside the
+standard library.  ``eval`` and the models reach numpy through the module
+global that the first model build sets, with no import statement per call.
 """
 
 from __future__ import annotations
@@ -37,10 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
-from .coefficients import CoefficientTable, ConsistencyError
-from .exact import Polynomial, Rational
+from .coefficients import CoefficientTable, ConsistencyError, moment_sum
+from .exact import Polynomial, Rational, horner
 
 __all__ = [
     "PiecewisePolynomial",
@@ -63,6 +67,16 @@ _CHOP_BUDGET = Fraction(2.5e-14)
 _EVAL_CHUNK = 4096
 _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
+
+np = None  # numpy, once a float operation has called _load_numpy
+
+
+def _load_numpy():
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
 
 
 class PiecewisePolynomial:
@@ -134,12 +148,27 @@ class PiecewisePolynomial:
             return self.outside_high
         return self.segments[self.segment_index(x)](x)
 
-    def integral(self) -> Fraction:
-        """Exact integral over the whole span (antiderivative telescoping)."""
+    def integral(self, m: int = 0) -> Fraction:
+        """Exact integral of x^m times the polynomial over the whole span.
+
+        With a segment's coefficients A_k/D over integers, d its degree and
+        L = lcm(m+1, ..., d+m+1), the antiderivative of x^m * seg is
+        sum_k B_k x^(k+m+1) / (D*L) with the integers B_k = A_k*L/(k+m+1).
+        At x = a/b it is a^(m+1) * horner(B, a, b) / (b^(d+m+1)*D*L), so a
+        segment's integral is one Fraction of integers.
+        """
         total = Fraction(0)
         for t, seg in enumerate(self.segments):
-            anti = seg.antiderivative()
-            total += anti(self.breakpoints[t + 1]) - anti(self.breakpoints[t])
+            A, D = seg.integer_form()
+            if not A:
+                continue
+            e = len(A) + m  # d + m + 1
+            L = math.lcm(*range(m + 1, e + 1))
+            B = [c * (L // (k + m + 1)) for k, c in enumerate(A)]
+            (a0, b0), (a1, b1) = (x.as_integer_ratio() for x in self.breakpoints[t : t + 2])
+            upper = a1 ** (m + 1) * horner(B, a1, b1) * b0**e
+            lower = a0 ** (m + 1) * horner(B, a0, b0) * b1**e
+            total += Fraction(upper - lower, (b0 * b1) ** e * D * L)
         return total
 
     # -- float evaluation ---------------------------------------------------
@@ -168,6 +197,7 @@ class PiecewisePolynomial:
         ``backend`` is ignored: evaluation has a single numpy path.  The slot
         stays because the benchmark's tracing wrapper passes it positionally.
         """
+        _load_numpy()
         arr = np.asarray(xs, dtype=np.float64)
         if arr.size == 1:
             return np.full(arr.shape, self.eval(arr.item()))
@@ -261,10 +291,10 @@ def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:
     (so F(K) = 1 reads exactly 1.0).  A value past the double range raises
     OverflowError.
     """
-    coeffs = seg.coefficients or (Fraction(0),)
-    d = len(coeffs) - 1
-    D = math.lcm(*(c.denominator for c in coeffs))
-    A = [c.numerator * (D // c.denominator) for c in coeffs]
+    _load_numpy()
+    A, D = seg.integer_form()
+    A = A or (0,)
+    d = len(A) - 1
     Q = math.lcm(lo.denominator, hi.denominator)
     P = int(2 * Q * (lo + hi))
     H = int(Q * (hi - lo))
@@ -456,25 +486,17 @@ def threshold_for_false_alarm(d: SleDistribution, alpha: float) -> float:
 
 
 def sle_moment(d: SleDistribution, m: int) -> Fraction:
-    """Exact E[X^m] by per-segment antiderivative telescoping."""
+    """Exact E[X^m], the PDF's integral against x^m, on integers per segment."""
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
-    total = Fraction(0)
-    for t, seg in enumerate(d.pdf.segments):
-        anti = seg.shift_powers(m).antiderivative()
-        total += anti(d.pdf.breakpoints[t + 1]) - anti(d.pdf.breakpoints[t])
-    return total
+    return d.pdf.integral(m)
 
 
 def lambda1_moment(table: CoefficientTable, z: int) -> Fraction:
-    """Exact E[lambda_max^(z-1)] from the coefficient table at integer z >= 1."""
+    """Exact E[lambda_max^(z-1)] from the coefficient table at integer z >= 1, on integers per row."""
     if z < 1:
         raise ValueError(f"transform order must be >= 1, got {z}")
-    total = Fraction(0)
-    for (i, j), c in table.entries.items():
-        if c:
-            total += c * math.factorial(z + j - 1) / Fraction(i) ** (z + j)
-    return total
+    return moment_sum(table.entries, z)
 
 
 def trace_moment(K: int, N: int, z: int) -> Fraction:
@@ -498,6 +520,7 @@ def default_grid(K: int, n: int = 512) -> np.ndarray:
     """n uniform points on [1, K] merged with the breakpoints K/i (kinks stay visible)."""
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
+    _load_numpy()
     # a set of Python floats, not np.union1d: np.unique imports numpy.ma on first use
     points = set(np.linspace(1.0, float(K), n).tolist())
     points.update(float(b) for b in _sle_breakpoints(K))
@@ -510,6 +533,7 @@ def write_distribution_csv(d: SleDistribution, grid: np.ndarray, stream: IO[str]
     PDF values are clipped at 0 and CDF values to [0, 1], the exact ranges,
     so the clips only remove evaluation error.
     """
+    _load_numpy()
     pdf_vals = np.maximum(d.pdf.eval_many(grid), 0.0)
     cdf_vals = np.clip(d.cdf.eval_many(grid), 0.0, 1.0)
     stream.write("x,pdf,cdf\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Rational",
@@ -45,13 +45,14 @@ class Polynomial:
     tuple).  Instances are immutable and hashable; all arithmetic is exact.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_integer_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         coeffs = [_as_fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
+        self._integer_form: tuple[tuple[int, ...], int] | None = None
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -61,16 +62,6 @@ class Polynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -91,50 +82,23 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, ca in enumerate(self._coeffs):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(other._coeffs):
-                    out[i + j] += ca * cb
-            return Polynomial(out)
-        return self.scale(other)
-
-    def __rmul__(self, other: RationalLike) -> "Polynomial":
-        return self.scale(other)
-
-    def scale(self, factor: RationalLike) -> "Polynomial":
-        f = _as_fraction(factor)
-        if f == 0:
-            return Polynomial()
-        return Polynomial([c * f for c in self._coeffs])
-
-    def shift_powers(self, k: int) -> "Polynomial":
-        """Multiply by ``x**k`` (raise every power by ``k``)."""
-        if k < 0:
-            raise ValueError("power shift must be nonnegative")
-        if not self._coeffs:
-            return Polynomial()
-        return Polynomial([Fraction(0)] * k + list(self._coeffs))
-
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self._coeffs)][1:])
 
     def antiderivative(self) -> "Polynomial":
         """Formal antiderivative with zero constant term."""
         return Polynomial([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
+
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Integers ``A`` and ``D`` with coefficient k equal to ``A[k] / D``, D the lcm of the denominators.
+
+        Computed on the first call and kept: exact evaluation, integrals and
+        the float-model build all start from it.
+        """
+        if self._integer_form is None:
+            D = math.lcm(*{c.denominator for c in self._coeffs})
+            self._integer_form = (tuple(c.numerator * (D // c.denominator) for c in self._coeffs), D)
+        return self._integer_form
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact evaluation at a rational point by Horner's rule on integers.
@@ -146,16 +110,21 @@ class Polynomial:
         x = _as_fraction(x)
         if not self._coeffs:
             return Fraction(0)
-        a, b = x.numerator, x.denominator
-        D = math.lcm(*(c.denominator for c in self._coeffs))
-        acc, b_power = 0, 1
-        for c in reversed(self._coeffs):
-            acc = acc * a + c.numerator * (D // c.denominator) * b_power
-            b_power *= b
-        return Fraction(acc, D * (b_power // b))
+        A, D = self.integer_form()
+        b = x.denominator
+        return Fraction(horner(A, x.numerator, b), D * b ** (len(A) - 1))
 
     def __repr__(self) -> str:
         if not self._coeffs:
             return "Polynomial(0)"
         parts = [f"{c}*x^{k}" if k else f"{c}" for k, c in enumerate(self._coeffs) if c]
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+def horner(A: list[int], a: int, b: int) -> int:
+    """The integer sum_k A[k] a^k b^(d-k), d = len(A) - 1: b^d times the polynomial at a/b."""
+    acc, b_power = 0, 1
+    for c in reversed(A):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return acc

@@ -143,6 +143,10 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     children = np.random.SeedSequence(config.seed).spawn(config.partitions)
     base, extra = divmod(config.samples, config.partitions)
     values = np.empty(config.samples)
+    # every draw fills this one buffer: no chunk-sized temporary is allocated
+    # and freed per draw, so the peak resident set does not depend on where
+    # the allocator happens to place such temporaries
+    draw = np.empty(min(_CHUNK, config.samples) * K * N)
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = None
         offset = 0
@@ -151,10 +155,11 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
             end = offset + base + (1 if p < extra else 0)
             for start in range(offset, end, _CHUNK):
                 m = min(_CHUNK, end - start)
-                # the bits of (a + 1j*b) * sqrt(0.5), with one float temporary instead of three
+                # the bits of (a + 1j*b) * sqrt(0.5), with the draw buffer as the only float temporary
                 Z = np.empty((m, K, N), dtype=np.complex128)
-                Z.real = rng.standard_normal((m, K, N))
-                Z.imag = rng.standard_normal((m, K, N))
+                part = draw[: m * K * N].reshape(m, K, N)
+                Z.real = rng.standard_normal(out=part)
+                Z.imag = rng.standard_normal(out=part)
                 Z *= math.sqrt(0.5)
                 if pending is not None:
                     pending.result()

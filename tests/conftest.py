@@ -11,6 +11,8 @@ from sledist import coefficient_table, sle_distribution
 EXACT_CONFIGS = [(2, 2), (2, 10), (3, 10), (4, 10), (6, 6), (4, 100)]
 # the subset the Monte Carlo goodness-of-fit criterion runs over
 MC_CONFIGS = [(2, 10), (3, 10), (4, 10), (6, 6), (4, 100)]
+# the integer moment and mass sums are held to their Fraction oracles here
+MOMENT_CONFIGS = EXACT_CONFIGS + [(4, 50), (4, 63), (8, 8), (9, 10)]
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
 the exponential-polynomial ring with the moments L_a and the K = 4 determinant
-in it, a float evaluation dispatch with one mask per segment, and the serial
-Monte Carlo sampler.
+in it, the moments and the mass check summed one Fraction per term, a float
+evaluation dispatch with one mask per segment, and the serial Monte Carlo
+sampler.
 
 sledist builds every table with the Hankel determinant engine on plain
 integers; these printed formulas and ring expansions are an independent
@@ -9,10 +10,15 @@ derivation that the tests compare it against.  The mask dispatch, with one
 barycentric block per 4096 points of a segment, gives the floats that warm
 evaluation must reproduce bit for bit.  The serial sampler pins the Monte
 Carlo stream that the pipelined ``sample_sle`` must reproduce bit for bit.
+The Fraction moment sums give the exact values that the integer sums of
+``sle_moment``, ``lambda1_moment`` and ``CoefficientTable.normalization``
+must equal.
 """
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial as _fact
 from typing import Mapping
 
@@ -20,6 +26,8 @@ import numpy as np
 
 from sledist.coefficients import CoefficientTable, _full_rectangle, index_upper
 from sledist.exact import Polynomial, RationalLike
+
+from polyops import is_zero, mul, neg, scale, shift_powers
 
 
 def reciprocal_factorial(n: int) -> Fraction:
@@ -151,7 +159,7 @@ class ExpPolySum:
                     raise ValueError(f"negative decay rate {m}")
                 if not isinstance(p, Polynomial):
                     p = Polynomial(p)
-                if not p.is_zero:
+                if not is_zero(p):
                     clean[int(m)] = p
         self._terms = clean
 
@@ -174,7 +182,7 @@ class ExpPolySum:
         return ExpPolySum(out)
 
     def __neg__(self) -> "ExpPolySum":
-        return ExpPolySum({m: -p for m, p in self._terms.items()})
+        return ExpPolySum({m: neg(p) for m, p in self._terms.items()})
 
     def __sub__(self, other: "ExpPolySum") -> "ExpPolySum":
         if not isinstance(other, ExpPolySum):
@@ -188,13 +196,13 @@ class ExpPolySum:
         for m1, p1 in self._terms.items():
             for m2, p2 in other._terms.items():
                 m = m1 + m2
-                prod = p1 * p2
+                prod = mul(p1, p2)
                 q = out.get(m)
                 out[m] = prod if q is None else q + prod
         return ExpPolySum(out)
 
     def scale(self, factor: RationalLike) -> "ExpPolySum":
-        return ExpPolySum({m: p.scale(factor) for m, p in self._terms.items()})
+        return ExpPolySum({m: scale(p, factor) for m, p in self._terms.items()})
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -236,6 +244,43 @@ def five_product_k4(N: int) -> ExpPolySum:
         - L[N - 1] * L[N - 1] * L[N - 4]
         - L[N - 2] * L[N - 2] * L[N - 2]
     )
+
+
+# ---------------------------------------------------------------------------
+# moments and the mass check, one Fraction per table entry or coefficient
+
+
+def normalization_reference(table: CoefficientTable) -> Fraction:
+    """Exact total mass: sum over entries of c * j! / i^(j+1)."""
+    top = max(j for _, j in table.entries)
+    fact = list(accumulate(range(1, top + 1), operator.mul, initial=1))  # j! at j
+    total = Fraction(0)
+    for (i, j), c in table.entries.items():
+        if c:
+            total += c * fact[j] / Fraction(i) ** (j + 1)
+    return total
+
+
+def sle_moment_reference(d, m: int) -> Fraction:
+    """Exact E[X^m] by per-segment antiderivative telescoping."""
+    if m < 0:
+        raise ValueError(f"moment order must be nonnegative, got {m}")
+    total = Fraction(0)
+    for t, seg in enumerate(d.pdf.segments):
+        anti = shift_powers(seg, m).antiderivative()
+        total += anti(d.pdf.breakpoints[t + 1]) - anti(d.pdf.breakpoints[t])
+    return total
+
+
+def lambda1_moment_reference(table: CoefficientTable, z: int) -> Fraction:
+    """Exact E[lambda_max^(z-1)] from the coefficient table at integer z >= 1."""
+    if z < 1:
+        raise ValueError(f"transform order must be >= 1, got {z}")
+    total = Fraction(0)
+    for (i, j), c in table.entries.items():
+        if c:
+            total += c * math.factorial(z + j - 1) / Fraction(i) ** (z + j)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 from sledist import Polynomial
 
+from polyops import is_zero, neg
+
 
 def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if b.is_zero:
+    if is_zero(b):
         raise ZeroDivisionError("polynomial division by zero")
     quot = [Fraction(0)] * max(0, a.degree - b.degree + 1)
     rem = list(a.coefficients)
@@ -45,7 +47,7 @@ def count_real_roots(p: Polynomial, lo: Fraction | int, hi: Fraction | int) -> i
     hi = Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    if p.is_zero:
+    if is_zero(p):
         raise ValueError("zero polynomial has no isolated roots")
     # multiple roots exactly at an endpoint corrupt the sign sequences, so
     # deflate both endpoints and count the open interval; lo is excluded by
@@ -58,12 +60,12 @@ def count_real_roots(p: Polynomial, lo: Fraction | int, hi: Fraction | int) -> i
     if p.degree == 0:
         return root_at_hi
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
+    while not is_zero(chain[-1]) and chain[-1].degree > 0:
         _, rem = _poly_divmod(chain[-2], chain[-1])
-        if rem.is_zero:
+        if is_zero(rem):
             break
-        chain.append(-rem)
-    if chain[-1].is_zero:
+        chain.append(neg(rem))
+    if is_zero(chain[-1]):
         chain.pop()
     at_lo = _sign_changes([q(lo) for q in chain])
     at_hi = _sign_changes([q(hi) for q in chain])

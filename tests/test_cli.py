@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, and exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -80,6 +81,47 @@ def test_cdf_run_imports_neither_numpy_ma_nor_concurrent_futures():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout.startswith("x,pdf,cdf\n")
     assert run.stderr == "[]"
+
+
+def _loaded_after(statement: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running ``statement``."""
+    code = f"import sys\n{statement}\nsys.stderr.write(repr([m for m in {modules!r} if m in sys.modules]))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return ast.literal_eval(run.stderr.splitlines()[-1])
+
+
+_SAMPLER_SIDE = ("numpy", "sledist.montecarlo", "sledist.backends", "concurrent.futures")
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import sledist.cli",
+        "from sledist.cli import main; main(['coeffs', '--K', '4', '--N', '48'])",
+        "from sledist.cli import main; main(['moments', '--K', '4', '--N', '50'])",
+    ],
+)
+def test_exact_runs_load_neither_numpy_nor_the_sampler(statement):
+    # coefficient tables and moments are sums of integers; numpy would be half
+    # of a cold process's start-up
+    assert _loaded_after(statement, _SAMPLER_SIDE) == []
+
+
+def test_threshold_run_does_not_load_the_sampler():
+    statement = "from sledist.cli import main; main(['threshold', '--K', '4', '--N', '44', '--alpha', '0.01'])"
+    assert _loaded_after(statement, _SAMPLER_SIDE) == ["numpy"]
+
+
+def test_star_import_binds_every_public_name():
+    statement = (
+        "import sledist\n"
+        "namespace = {}\n"
+        "exec('from sledist import *', namespace)\n"
+        "assert all(name in namespace for name in sledist.__all__), sledist.__all__\n"
+        "import sledist.backends\n"
+        "assert sledist.EigensolverError is sledist.backends.EigensolverError"
+    )
+    assert _loaded_after(statement, ("numpy", "sledist.montecarlo")) == ["numpy", "sledist.montecarlo"]
 
 
 # --- curves ------------------------------------------------------------------

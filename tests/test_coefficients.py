@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -28,9 +29,10 @@ from sledist.coefficients import (
     _pack,
     _unpack,
     index_upper,
+    moment_sum,
 )
 
-from conftest import EXACT_CONFIGS, cached_table
+from conftest import EXACT_CONFIGS, MOMENT_CONFIGS, cached_table
 from oracles import (
     ExpPolySum,
     as_exppoly,
@@ -38,6 +40,7 @@ from oracles import (
     closed_form_k3,
     five_product_k4,
     l_moment_oracle,
+    normalization_reference,
 )
 
 
@@ -195,7 +198,7 @@ def test_table_matches_subset_dp_table(K, N):
     nonzero = {
         (m + 1, k + N - K): c * d_constant(K, N)
         for m, poly in det.terms.items()
-        for k, c in enumerate(poly)
+        for k, c in enumerate(poly.coefficients)
         if c
     }
     assert coefficient_table(K, N) == _full_rectangle(K, N, nonzero)
@@ -288,6 +291,24 @@ def test_scaled_table_rejected():
     doubled = {k: 2 * v for k, v in t.entries.items()}
     with pytest.raises(ConsistencyError):
         CoefficientTable(K=2, N=4, entries=doubled)
+
+
+@pytest.mark.parametrize("K,N", MOMENT_CONFIGS)
+def test_normalization_equals_fraction_sum(K, N):
+    t = cached_table(K, N)
+    assert t.normalization() == normalization_reference(t) == 1
+
+
+@pytest.mark.parametrize("K,N", [(2, 10), (4, 10), (8, 8)])
+def test_entry_off_by_one_over_its_denominator_fails_mass_check(K, N):
+    t = cached_table(K, N)
+    for key in (min(t.nonzero()), max(t.nonzero())):
+        entries = dict(t.entries)
+        entries[key] += F(1, entries[key].denominator)
+        mass = moment_sum(entries, 1)
+        assert mass == normalization_reference(SimpleNamespace(entries=entries)) != 1
+        with pytest.raises(ConsistencyError, match="unit-mass"):
+            CoefficientTable(K=K, N=N, entries=entries)
 
 
 def test_malformed_index_set_rejected():

@@ -3,6 +3,7 @@
 import io
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +27,16 @@ from sledist import (
     write_distribution_csv,
 )
 
-from conftest import EXACT_CONFIGS, cached_dist, cached_table
-from oracles import eval_many_reference, eval_reference, quantile_reference, reciprocal_factorial
+from conftest import EXACT_CONFIGS, MOMENT_CONFIGS, cached_dist, cached_table
+from oracles import (
+    eval_many_reference,
+    eval_reference,
+    lambda1_moment_reference,
+    quantile_reference,
+    reciprocal_factorial,
+    sle_moment_reference,
+)
+from polyops import scale, shift_powers
 from sturm import count_real_roots
 
 
@@ -185,6 +194,30 @@ def test_k2n2_mellin_anchor():
 # --- construction invariants ----------------------------------------------------
 
 
+@pytest.mark.parametrize("K,N", MOMENT_CONFIGS)
+def test_moments_equal_fraction_sums(K, N):
+    t, d = cached_table(K, N), cached_dist(K, N)
+    for z in range(1, 10):
+        assert lambda1_moment(t, z) == lambda1_moment_reference(t, z), (K, N, z)
+    for m in range(9):
+        assert sle_moment(d, m) == sle_moment_reference(d, m), (K, N, m)
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@given(
+    st.lists(st.lists(small_fractions, max_size=6).map(Polynomial), min_size=1, max_size=4),
+    st.lists(small_fractions, min_size=5, max_size=5, unique=True),
+    st.integers(0, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_integral_against_x_power_equals_telescoping(segments, points, m):
+    # any sign, zero and zero segments: the integer path must not assume SLE breakpoints
+    pw = PiecewisePolynomial(sorted(points)[: len(segments) + 1], segments)
+    assert pw.integral(m) == sle_moment_reference(SimpleNamespace(pdf=pw), m)
+
+
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS)
 def test_pdf_total_mass_exact(K, N):
     assert cached_dist(K, N).pdf.integral() == 1
@@ -248,7 +281,7 @@ def test_pdf_positive_inside_segments_by_root_counting(K, N):
 def test_scaled_distribution_rejected():
     d = cached_dist(2, 10)
     doubled = PiecewisePolynomial(
-        d.pdf.breakpoints, [seg.scale(2) for seg in d.pdf.segments]
+        d.pdf.breakpoints, [scale(seg, 2) for seg in d.pdf.segments]
     )
     with pytest.raises(ConsistencyError):
         SleDistribution(table=d.table, pdf=doubled, cdf=d.cdf)
@@ -259,7 +292,7 @@ def test_scaled_distribution_with_derived_cdf_rejected():
     # only the unit-mass and F(K) = 1 checks can catch it
     d = cached_dist(2, 10)
     doubled = PiecewisePolynomial(
-        d.pdf.breakpoints, [seg.scale(2) for seg in d.pdf.segments]
+        d.pdf.breakpoints, [scale(seg, 2) for seg in d.pdf.segments]
     )
     cdf = build_sle_cdf(doubled)
     for cseg, pseg in zip(cdf.segments, doubled.segments):
@@ -294,7 +327,7 @@ def test_cdf_monotone_on_dense_grid(K, N):
 def test_float_model_without_overflow_warning():
     # the mass bound sum |a_k| 40^k overflows a double here; under the
     # error::RuntimeWarning filter any overflow warning fails the test
-    pp = PiecewisePolynomial([1, 40], [Polynomial([F(1, 40**200)]).shift_powers(200)])
+    pp = PiecewisePolynomial([1, 40], [shift_powers(Polynomial([F(1, 40**200)]), 200)])
     for x in (1.0, 7.5, 30.0, 39.0, 40.0):
         exact = float(pp.value_exact(F(x)))
         assert pp.eval(x) == pytest.approx(exact, abs=1e-13)
@@ -324,7 +357,7 @@ def test_eval_many_matches_exact_on_dense_grid(K, N):
 
 def test_overflowing_segment_rejected():
     # x^200 reaches 1e320 at x = 40, past the largest double
-    pp = PiecewisePolynomial([1, 40], [Polynomial([1]).shift_powers(200)])
+    pp = PiecewisePolynomial([1, 40], [shift_powers(Polynomial([1]), 200)])
     with pytest.raises(ValueError, match="segment 0 on \\[1, 40\\]"):
         pp.eval(1.5)
 
