@@ -13,13 +13,13 @@ bytes.  `--out PATH` redirects to a file (validate also writes `PATH` sample
 CSV plus a `PATH.meta.json` sidecar); the default is stdout.
 
 Only `validate` imports the sampler, and `coeffs` and `moments` never load
-numpy (see `sledist.distributions`).
+numpy (see `sledist.distributions`).  Only `coeffs` and `validate` import
+`json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import nullcontext
@@ -145,6 +145,8 @@ def _run_moments(args) -> int:
 
 def _run_validate(args) -> int:
     # the sampler, and with it numpy, loads before the table, as with eager imports
+    import json
+
     import numpy as np
 
     from .montecarlo import (

@@ -20,16 +20,14 @@ bounds above, and the table must satisfy the exact normalization
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .exact import Rational
+from .exact import Frozen, Rational
 
 __all__ = [
     "ConsistencyError",
@@ -83,8 +81,7 @@ def _check_shape(K: int, N: int) -> None:
         raise ValueError(f"N must be at least K, got K={K}, N={N}")
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Frozen):
     """Exact density coefficients c_{i,j} for one (K, N).
 
     ``entries`` holds the complete in-range rectangle: every pair (i, j) with
@@ -94,11 +91,12 @@ class CoefficientTable:
     raises :class:`ConsistencyError` on failure.
     """
 
-    K: int
-    N: int
-    entries: dict[tuple[int, int], Fraction] = field(compare=True)
+    __slots__ = ("K", "N", "entries")
 
-    def __post_init__(self):
+    def __init__(self, K: int, N: int, entries: dict[tuple[int, int], Fraction]):
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "entries", entries)
         _check_shape(self.K, self.N)
         expected = {
             (i, j)
@@ -119,6 +117,14 @@ class CoefficientTable:
                 f"coefficient table for K={self.K}, N={self.N} fails unit-mass "
                 f"normalization: sum c_ij * j!/i^(j+1) = {mass}"
             )
+
+    def __repr__(self) -> str:
+        return f"CoefficientTable(K={self.K!r}, N={self.N!r}, entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.K, self.N, self.entries) == (other.K, other.N, other.entries)
+        return NotImplemented
 
     def normalization(self) -> Fraction:
         """Exact total mass: sum over entries of c * j! / i^(j+1)."""
@@ -356,6 +362,8 @@ def _int_str_digits(digits: int):
 @_int_str_digits(0)
 def table_to_json(table: CoefficientTable, indent: int | None = 2) -> str:
     """Serialize a table; big integers become decimal strings so any JSON parser survives."""
+    import json
+
     payload = {
         "K": table.K,
         "N": table.N,
@@ -369,6 +377,8 @@ def table_to_json(table: CoefficientTable, indent: int | None = 2) -> str:
 
 def table_from_json(text: str) -> CoefficientTable:
     """Inverse of :func:`table_to_json`; revalidates all invariants on load."""
+    import json
+
     payload = json.loads(text)
     K, N = int(payload["K"]), int(payload["N"])
     _check_shape(K, N)

@@ -28,6 +28,18 @@ bisection calls, stays on Python floats up to the model's one-row product;
 both, bit for bit, to a reference dispatch that selects each segment's points
 by a mask.
 
+``quantile`` bisects the float CDF, but the exact CDF levels at the
+breakpoints, which construction computes for its checks, decide every step
+they can.  Once per call it takes the last breakpoint whose level lies more
+than 1e-9 below p and the first whose level lies more than 1e-9 above it.  A
+midpoint at or below the first kind has F(mid) < p - 1e-9, so the float CDF,
+certified within 1e-13, reads below p there and the step sets ``lo``; at or
+above the second kind it sets ``hi``.  The margin is 1e4 times the certified
+error, and covers the rounding of the levels and breakpoints to floats.  Only
+midpoints between the two evaluate, so the steps, and the answer, are those
+of plain bisection, and a cold call builds the float model of the answer's
+segment alone, unless p lies within the margin of a level.
+
 numpy loads on the first float operation: a model build, ``eval_many``,
 ``default_grid`` or ``write_distribution_csv``.  Until then this module, and
 so the exact assembly, the checks and the moments, import nothing outside the
@@ -38,13 +50,12 @@ global that the first model build sets, with no import statement per call.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .coefficients import CoefficientTable, ConsistencyError, moment_sum
-from .exact import Polynomial, Rational, horner
+from .exact import Frozen, Polynomial, Rational, horner, quotients
 
 __all__ = [
     "PiecewisePolynomial",
@@ -67,6 +78,8 @@ _CHOP_BUDGET = Fraction(2.5e-14)
 _EVAL_CHUNK = 4096
 _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
+# exact breakpoint levels this far from p decide bisection steps: 1e4 times the certified 1e-13
+_LEVEL_MARGIN = 1e-9
 
 np = None  # numpy, once a float operation has called _load_numpy
 
@@ -152,9 +165,9 @@ class PiecewisePolynomial:
         """Exact integral of x^m times the polynomial over the whole span.
 
         With a segment's coefficients A_k/D over integers, d its degree and
-        L = lcm(m+1, ..., d+m+1), the antiderivative of x^m * seg is
-        sum_k B_k x^(k+m+1) / (D*L) with the integers B_k = A_k*L/(k+m+1).
-        At x = a/b it is a^(m+1) * horner(B, a, b) / (b^(d+m+1)*D*L), so a
+        B_k/L the quotients A_k/(k+m+1) over their least common denominator,
+        the antiderivative of x^m * seg is sum_k B_k x^(k+m+1) / (D*L).  At
+        x = a/b it is a^(m+1) * horner(B, a, b) / (b^(d+m+1)*D*L), so a
         segment's integral is one Fraction of integers.
         """
         total = Fraction(0)
@@ -163,8 +176,7 @@ class PiecewisePolynomial:
             if not A:
                 continue
             e = len(A) + m  # d + m + 1
-            L = math.lcm(*range(m + 1, e + 1))
-            B = [c * (L // (k + m + 1)) for k, c in enumerate(A)]
+            B, L = quotients(A, m + 1)
             (a0, b0), (a1, b1) = (x.as_integer_ratio() for x in self.breakpoints[t : t + 2])
             upper = a1 ** (m + 1) * horner(B, a1, b1) * b0**e
             lower = a0 ** (m + 1) * horner(B, a0, b0) * b1**e
@@ -236,18 +248,30 @@ class PiecewisePolynomial:
         return self._model(code - 1).at(x)
 
 
-@dataclass(frozen=True, eq=False)
-class _ChebModel:
-    """One segment's Chebyshev-Lobatto interpolant, evaluated in barycentric form."""
+class _ChebModel(Frozen):
+    """One segment's Chebyshev-Lobatto interpolant, evaluated in barycentric form.
 
-    nodes: np.ndarray  # ascending; the first and last are the segment's float endpoints
-    values: np.ndarray  # the exact polynomial at each node, rounded once
-    weighted: np.ndarray  # columns w_k * values_k and w_k, w_k the barycentric weights
-    tail: Fraction  # exact sum of |c_k| over the dropped Chebyshev terms
-    at_node: dict[float, float] = field(init=False, repr=False)  # node -> value, for :meth:`at`
+    ``nodes`` ascend, the first and last being the segment's float endpoints;
+    ``values`` holds the exact polynomial at each node, rounded once;
+    ``weighted`` has the columns w_k * values_k and w_k, w_k the barycentric
+    weights; ``tail`` is the exact sum of |c_k| over the dropped Chebyshev
+    terms; ``at_node`` maps node to value, for :meth:`at`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "at_node", dict(zip(self.nodes.tolist(), self.values.tolist())))
+    __slots__ = ("nodes", "values", "weighted", "tail", "at_node")
+
+    def __init__(self, nodes: np.ndarray, values: np.ndarray, weighted: np.ndarray, tail: Fraction):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weighted", weighted)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "at_node", dict(zip(nodes.tolist(), values.tolist())))
+
+    def __repr__(self) -> str:
+        return (
+            f"_ChebModel(nodes={self.nodes!r}, values={self.values!r}, "
+            f"weighted={self.weighted!r}, tail={self.tail!r})"
+        )
 
     def at(self, x: float) -> float:
         """One point: the operations :meth:`__call__` runs on a one-row block."""
@@ -355,7 +379,8 @@ def build_sle_pdf(table: CoefficientTable) -> PiecewisePolynomial:
     binomial expansion runs on integers: term t of (K - i*x)^e is
     C(e, t) * K^(e-t) * (-i)^t, reached from its predecessor by multiplying by
     (e-t)*(-i) and dividing exactly by (t+1)*K.  Each accumulated integer
-    becomes a Fraction once, scaled by pref/den.
+    joins the running segment, scaled by pref/den, over one common
+    denominator, and each segment is reduced by one gcd pass.
 
     On [K/(m+1), K/m) exactly the blocks i <= m are active, so the gate
     disappears into the segment structure: each segment is the previous one
@@ -375,7 +400,7 @@ def build_sle_pdf(table: CoefficientTable) -> PiecewisePolynomial:
             )
         weights[i].append((j, c / math.factorial(e)))
     segments = []
-    seg = Polynomial()
+    num, den_sum = (), 1  # the running segment, sum_k num[k] x^k / den_sum
     for i in range(1, K):
         den = math.lcm(*(w.denominator for _, w in weights[i]))
         acc = [0] * (KN - 1)
@@ -386,8 +411,16 @@ def build_sle_pdf(table: CoefficientTable) -> PiecewisePolynomial:
             for t in range(e):
                 b = b * (e - t) * -i // ((t + 1) * K)
                 acc[j + t + 1] += b
+        # block i is acc * scale: add it over lcm(den_sum, scale.denominator)
         scale = pref / den
-        seg = seg + Polynomial([scale * a for a in acc])
+        g = math.gcd(den_sum, scale.denominator)
+        lift = scale.numerator * (den_sum // g)
+        acc = [a * lift for a in acc]
+        carry = scale.denominator // g
+        for k, a in enumerate(num):
+            acc[k] += a * carry
+        seg = Polynomial.from_integers(acc, den_sum * carry)
+        num, den_sum = seg.integer_form()
         segments.append(seg)
     segments.reverse()
     return PiecewisePolynomial(_sle_breakpoints(K), segments)
@@ -413,18 +446,23 @@ def build_sle_cdf(pdf: PiecewisePolynomial) -> PiecewisePolynomial:
     return PiecewisePolynomial(bps, segments, outside_low=Fraction(0), outside_high=Fraction(1))
 
 
-@dataclass(frozen=True, eq=False)
-class SleDistribution:
+class SleDistribution(Frozen):
     """Exact SLE distribution: coefficient table plus assembled PDF and CDF.
 
     Construction re-derives nothing; it verifies everything: unit mass of the
     PDF, CDF boundary values, continuity at breakpoints, and coefficient-exact
-    equality of the CDF derivative with the PDF on every segment.
+    equality of the CDF derivative with the PDF on every segment.  The exact
+    CDF levels at the breakpoints, which the checks compute, are kept as
+    floats for :func:`quantile`.
     """
 
-    table: CoefficientTable
-    pdf: PiecewisePolynomial
-    cdf: PiecewisePolynomial
+    __slots__ = ("table", "pdf", "cdf", "_break_xs", "_break_levels")
+
+    def __init__(self, table: CoefficientTable, pdf: PiecewisePolynomial, cdf: PiecewisePolynomial):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "pdf", pdf)
+        object.__setattr__(self, "cdf", cdf)
+        self.__post_init__()
 
     def __post_init__(self):
         K = self.table.K
@@ -441,10 +479,19 @@ class SleDistribution:
         for t, (cseg, pseg) in enumerate(zip(self.cdf.segments, self.pdf.segments)):
             if cseg.derivative() != pseg:
                 raise ConsistencyError(f"CDF derivative differs from PDF on segment {t}")
+        levels = [0.0]
         for t in range(len(self.cdf.segments) - 1):
             b = self.cdf.breakpoints[t + 1]
-            if self.cdf.segments[t](b) != self.cdf.segments[t + 1](b):
+            level = self.cdf.segments[t](b)
+            if level != self.cdf.segments[t + 1](b):
                 raise ConsistencyError(f"CDF jumps at breakpoint {b}")
+            levels.append(float(level))
+        levels.append(1.0)
+        object.__setattr__(self, "_break_xs", tuple(float(b) for b in self.cdf.breakpoints))
+        object.__setattr__(self, "_break_levels", tuple(levels))
+
+    def __repr__(self) -> str:
+        return f"SleDistribution(table={self.table!r}, pdf={self.pdf!r}, cdf={self.cdf!r})"
 
     @property
     def K(self) -> int:
@@ -458,7 +505,11 @@ def sle_distribution(table: CoefficientTable) -> SleDistribution:
 
 
 def quantile(d: SleDistribution, p: float) -> float:
-    """Inverse CDF by bisection to absolute x-tolerance 1e-12."""
+    """Inverse CDF by bisection to absolute x-tolerance 1e-12.
+
+    A midpoint on the far side of a breakpoint whose exact level is more than
+    ``_LEVEL_MARGIN`` from p is decided without evaluating (module docstring).
+    """
     if math.isnan(p) or not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     K = float(d.K)
@@ -466,12 +517,18 @@ def quantile(d: SleDistribution, p: float) -> float:
         return 1.0
     if p == 1:
         return K
+    xs, levels = d._break_xs, d._break_levels
+    # F(x) < p - margin at and below `below`, F(x) > p + margin at and above `above`
+    i = bisect_left(levels, p - _LEVEL_MARGIN)
+    j = bisect_right(levels, p + _LEVEL_MARGIN)
+    below = xs[i - 1] if i else -math.inf
+    above = xs[j] if j < len(xs) else math.inf
     lo, hi = 1.0, K
     for _ in range(_QUANTILE_MAX_ITER):
         if hi - lo <= _QUANTILE_XTOL:
             break
         mid = 0.5 * (lo + hi)
-        if d.cdf.eval(mid) < p:
+        if mid <= below or (mid < above and d.cdf.eval(mid) < p):
             lo = mid
         else:
             hi = mid

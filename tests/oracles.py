@@ -1,8 +1,8 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
 the exponential-polynomial ring with the moments L_a and the K = 4 determinant
-in it, the moments and the mass check summed one Fraction per term, a float
-evaluation dispatch with one mask per segment, and the serial Monte Carlo
-sampler.
+in it, the moments and the mass check summed one Fraction per term, the PDF
+and CDF assembly on Fractions, a float evaluation dispatch with one mask per
+segment, and the serial Monte Carlo sampler.
 
 sledist builds every table with the Hankel determinant engine on plain
 integers; these printed formulas and ring expansions are an independent
@@ -12,7 +12,8 @@ evaluation must reproduce bit for bit.  The serial sampler pins the Monte
 Carlo stream that the pipelined ``sample_sle`` must reproduce bit for bit.
 The Fraction moment sums give the exact values that the integer sums of
 ``sle_moment``, ``lambda1_moment`` and ``CoefficientTable.normalization``
-must equal.
+must equal, and the Fraction PDF and CDF assembly gives the segments that the
+integer-form assembly must equal.
 """
 
 import math
@@ -281,6 +282,74 @@ def lambda1_moment_reference(table: CoefficientTable, z: int) -> Fraction:
         if c:
             total += c * math.factorial(z + j - 1) / Fraction(i) ** (z + j)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the PDF and CDF assembly on Fractions
+#
+# build_sle_pdf and build_sle_cdf as they ran before segments were assembled
+# on integer forms, with the Polynomial sums, antiderivatives and evaluations
+# spelled out on Fraction coefficient tuples.  Each returns one tuple per
+# segment, from x = 1 up.
+
+
+def _fraction_sum(a, b) -> tuple[Fraction, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _fraction_value(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def sle_pdf_fractions(table: CoefficientTable) -> list[tuple[Fraction, ...]]:
+    K, N = table.K, table.N
+    KN = K * N
+    pref = Fraction(math.factorial(KN - 1), K ** (KN - 1))
+    weights: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(1, K + 1)}
+    for (i, j), c in table.entries.items():
+        if not c:
+            continue
+        e = KN - j - 2
+        weights[i].append((j, c / math.factorial(e)))
+    segments = []
+    seg = ()
+    for i in range(1, K):
+        den = math.lcm(*(w.denominator for _, w in weights[i]))
+        acc = [0] * (KN - 1)
+        for j, w in weights[i]:
+            e = KN - j - 2
+            b = w.numerator * (den // w.denominator) * K**e
+            acc[j] += b
+            for t in range(e):
+                b = b * (e - t) * -i // ((t + 1) * K)
+                acc[j + t + 1] += b
+        scale = pref / den
+        seg = _fraction_sum(seg, [scale * a for a in acc])
+        segments.append(seg)
+    segments.reverse()
+    return segments
+
+
+def sle_cdf_fractions(K: int, pdf: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
+    bps = [Fraction(K, i) for i in range(K, 0, -1)]
+    level = Fraction(0)
+    segments = []
+    for t, seg in enumerate(pdf):
+        anti = (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(seg))
+        anti = _fraction_sum(anti, (level - _fraction_value(anti, bps[t]),))
+        segments.append(anti)
+        level = _fraction_value(anti, bps[t + 1])
+    return segments
 
 
 # ---------------------------------------------------------------------------

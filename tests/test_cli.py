@@ -91,20 +91,22 @@ def _loaded_after(statement: str, modules: tuple[str, ...]) -> list[str]:
 
 
 _SAMPLER_SIDE = ("numpy", "sledist.montecarlo", "sledist.backends", "concurrent.futures")
+# dataclasses imports inspect, ast, dis and tokenize: a quarter of `import sledist.cli`
+_EXACT_SIDE = ("dataclasses", "inspect")
+
+# each exact run, with the modules it must not load beyond those above
+_EXACT_RUNS = {
+    "import sledist.cli": ("json",),
+    "from sledist.cli import main; main(['coeffs', '--K', '4', '--N', '48'])": (),
+    "from sledist.cli import main; main(['moments', '--K', '4', '--N', '50'])": ("json",),
+}
 
 
-@pytest.mark.parametrize(
-    "statement",
-    [
-        "import sledist.cli",
-        "from sledist.cli import main; main(['coeffs', '--K', '4', '--N', '48'])",
-        "from sledist.cli import main; main(['moments', '--K', '4', '--N', '50'])",
-    ],
-)
+@pytest.mark.parametrize("statement", list(_EXACT_RUNS))
 def test_exact_runs_load_neither_numpy_nor_the_sampler(statement):
     # coefficient tables and moments are sums of integers; numpy would be half
     # of a cold process's start-up
-    assert _loaded_after(statement, _SAMPLER_SIDE) == []
+    assert _loaded_after(statement, _SAMPLER_SIDE + _EXACT_SIDE + _EXACT_RUNS[statement]) == []
 
 
 def test_threshold_run_does_not_load_the_sampler():

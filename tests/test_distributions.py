@@ -1,7 +1,9 @@
 """Piecewise distribution assembly, float evaluation, quantiles, and moments."""
 
+import copy
 import io
 import math
+import pickle
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -21,6 +23,7 @@ from sledist import (
     default_grid,
     lambda1_moment,
     quantile,
+    sle_distribution,
     sle_moment,
     threshold_for_false_alarm,
     trace_moment,
@@ -34,7 +37,9 @@ from oracles import (
     lambda1_moment_reference,
     quantile_reference,
     reciprocal_factorial,
+    sle_cdf_fractions,
     sle_moment_reference,
+    sle_pdf_fractions,
 )
 from polyops import scale, shift_powers
 from sturm import count_real_roots
@@ -123,6 +128,17 @@ def test_pdf_matches_binomial_oracle(K, N):
     for seg, expected in zip(pdf.segments, oracle.segments, strict=True):
         assert seg == expected
     assert pdf == oracle
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 47), (4, 59), (8, 11), (9, 10), (2, 300)])
+def test_integer_assembly_matches_the_fraction_assembly(K, N):
+    d = cached_dist(K, N)
+    pdf = sle_pdf_fractions(cached_table(K, N))
+    for got, ref in ((d.pdf, pdf), (d.cdf, sle_cdf_fractions(K, pdf))):
+        for seg, coeffs in zip(got.segments, ref, strict=True):
+            expected = Polynomial(coeffs)
+            assert seg == expected and hash(seg) == hash(expected)
+            assert seg.coefficients == coeffs
 
 
 @pytest.mark.parametrize("K,N", ORACLE_CONFIGS)
@@ -243,6 +259,23 @@ def test_cdf_continuous_at_breakpoints(K, N):
     for t in range(len(cdf.segments) - 1):
         b = cdf.breakpoints[t + 1]
         assert cdf.segments[t](b) == cdf.segments[t + 1](b)
+
+
+def test_table_distribution_and_model_refuse_assignment_but_copy():
+    d = cached_dist(3, 10)
+    d.cdf.eval(1.5)
+    model = next(iter(d.cdf._models.values()))
+    for obj, field in ((d.table, "K"), (d, "pdf"), (model, "tail")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = None
+    for restored in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert restored.table == d.table and restored.cdf == d.cdf
+        assert repr(next(iter(restored.cdf._models.values()))) == repr(model)
+        assert quantile(restored, 0.9) == quantile(d, 0.9)
 
 
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS)
@@ -479,13 +512,40 @@ def test_threshold_complements_quantile():
     assert all(1.0 < g < 3.0 for g in gammas)
 
 
-@pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
+def _near_breakpoint_levels(d) -> list[float]:
+    """p at each exact breakpoint level and 5e-10, 1e-9 and 2e-9 to either side, inside (0, 1)."""
+    ps = set()
+    for b in d.cdf.breakpoints:
+        level = float(d.cdf.value_exact(b))
+        for offset in (0.0, 5e-10, 1e-9, 2e-9):
+            for p in (level - offset, level + offset):
+                ps.add(min(max(p, 5e-324), math.nextafter(1.0, 0.0)))
+    return sorted(ps)
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (4, 41), (4, 53), (8, 8), (9, 9)])
 def test_quantile_and_threshold_match_bisection_on_the_reference(K, N):
-    # the CLI prints these with repr, so equal floats keep its output byte-identical
+    # the CLI prints these with repr, so equal floats keep its output byte-identical;
+    # near a breakpoint level, quantile decides steps from the exact levels
     d = cached_dist(K, N)
     for level in np.geomspace(1e-9, 0.5, 19).tolist():
         assert quantile(d, level) == quantile_reference(d, level)
         assert threshold_for_false_alarm(d, level) == quantile_reference(d, 1.0 - level)
+    for p in _near_breakpoint_levels(d):
+        assert quantile(d, p) == quantile_reference(d, p)
+        alpha = 1.0 - p
+        if 0 < alpha < 1:
+            assert threshold_for_false_alarm(d, alpha) == quantile_reference(d, 1.0 - alpha)
+
+
+@pytest.mark.parametrize("K,N,alpha", [(4, 41, 0.01), (4, 53, 0.001), (8, 8, 0.01), (9, 9, 0.1)])
+def test_cold_threshold_builds_one_float_model(K, N, alpha):
+    # the exact breakpoint levels decide every midpoint outside the answer's segment
+    d = sle_distribution(cached_table(K, N))
+    threshold = threshold_for_false_alarm(d, alpha)
+    assert len(d.cdf._models) == 1
+    # the reference bisection builds the models its midpoints touch
+    assert threshold == quantile_reference(d, 1.0 - alpha)
 
 
 # --- moment identities -----------------------------------------------------------

@@ -54,6 +54,37 @@ def test_integer_horner_equals_fraction_sum(p, x):
     assert p(x) == sum((c * x**k for k, c in enumerate(p.coefficients)), F(0))
 
 
+@given(st.lists(rationals, max_size=6), st.integers(-30, 30).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_fraction_and_integer_construction_agree(coeffs, m):
+    p = Polynomial(coeffs)
+    A, D = p.integer_form()
+    assert D > 0 and math.gcd(D, *A) == 1 and (not A or A[-1])
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert p.coefficients == tuple(trimmed)
+    # any multiple of the form, trailing zeros included, reduces to the same polynomial
+    q = Polynomial.from_integers([a * m for a in A] + [0], D * m)
+    assert q == p and hash(q) == hash(p) and q.coefficients == p.coefficients
+
+
+@given(small_polys, small_polys)
+@settings(max_examples=60, deadline=None)
+def test_integer_calculus_matches_fractions(p, q):
+    c = p.coefficients
+    expected_sum = [F(0)] * max(len(c), len(q.coefficients))
+    for coeffs in (c, q.coefficients):
+        for k, v in enumerate(coeffs):
+            expected_sum[k] += v
+    while expected_sum and expected_sum[-1] == 0:
+        expected_sum.pop()
+    assert (p + q).coefficients == tuple(expected_sum)
+    assert p.derivative().coefficients == tuple(k * v for k, v in enumerate(c))[1:]
+    antiderivative = (F(0),) + tuple(v / (k + 1) for k, v in enumerate(c)) if c else ()
+    assert p.antiderivative().coefficients == antiderivative
+
+
 def test_derivative_antiderivative_roundtrip():
     p = Polynomial([3, -1, F(5, 2), 7])
     assert p.antiderivative().derivative() == p

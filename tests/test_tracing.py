@@ -2,7 +2,8 @@
 
 The CLI imports the sampler only inside `validate`, so these runs check that
 the patched names still reach the calls, through `perfbench/traced_cli.py`
-exactly as a traced benchmark request runs it.
+exactly as a traced benchmark request runs it.  The self-validation span
+wraps `SleDistribution.__post_init__`, which construction must call.
 """
 
 import json
@@ -38,10 +39,16 @@ def _traced_span_names(argv: list[str]) -> set[str]:
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["moments", "--K", "2", "--N", "10"], {"distributions.moments"}),
+        (["moments", "--K", "2", "--N", "10"], {"distributions.check", "distributions.moments"}),
         (
             ["validate", "--K", "2", "--N", "10", "--samples", "2000"],
-            {"distributions.moments", "montecarlo.sample", "montecarlo.ks", "backends.eigvalsh"},
+            {
+                "distributions.check",
+                "distributions.moments",
+                "montecarlo.sample",
+                "montecarlo.ks",
+                "backends.eigvalsh",
+            },
         ),
     ],
 )
