@@ -6,7 +6,7 @@ arithmetic; floats appear only at evaluation boundaries.
 
 ``import sledist`` loads neither numpy nor the sampler.  The exact names
 (tables, assembly, moments) are imported here; numpy loads on the first float
-evaluation (see ``sledist.distributions``).  The sampler and backend names,
+operation that needs an array (see ``sledist.distributions``).  The sampler and backend names,
 whose modules import numpy, are served on first access by the module
 ``__getattr__`` (PEP 562).
 """

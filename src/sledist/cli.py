@@ -13,8 +13,9 @@ bytes.  `--out PATH` redirects to a file (validate also writes `PATH` sample
 CSV plus a `PATH.meta.json` sidecar); the default is stdout.
 
 Only `validate` imports the sampler, and `coeffs` and `moments` never load
-numpy (see `sledist.distributions`).  Only `coeffs` and `validate` import
-`json`.
+numpy; `threshold` and `quantile` load it only for a bisection step that the
+float model's rounding bound cannot decide (see `sledist.distributions`).
+Only `coeffs` and `validate` import `json`.
 """
 
 from __future__ import annotations

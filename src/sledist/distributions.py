@@ -40,11 +40,26 @@ midpoints between the two evaluate, so the steps, and the answer, are those
 of plain bisection, and a cold call builds the float model of the answer's
 segment alone, unless p lies within the margin of a level.
 
-numpy loads on the first float operation: a model build, ``eval_many``,
+A step that evaluates asks only whether ``eval(mid) < p``.  Until numpy is
+loaded, the segment's model answers on Python floats: it sums the
+barycentric terms with ``math.fsum`` and bounds how far any BLAS summation
+order could round from that sum (``_ChebModel.reads_below``).  An interval
+wholly below p, or wholly at or above it, decides the step as the one-row
+product would; otherwise the step runs that product, as ``eval`` does,
+which loads numpy.  Once numpy is loaded, every step runs the product, the
+cheaper of the two, so warm bisection costs what it did.  Either way the
+answer is bit for bit that of bisection on ``eval``.  A step stays undecided when F(mid) lies within the
+bound of p, which happens mostly at small alpha, where the density is small
+and the last steps move F by little more than the bound.
+
+Models are built on Python floats, and numpy loads on the first operation
+that needs an array: ``eval``, a bisection step the bound leaves undecided,
+``eval_many``, a model's ``nodes``, ``values`` or ``weighted``,
 ``default_grid`` or ``write_distribution_csv``.  Until then this module, and
-so the exact assembly, the checks and the moments, import nothing outside the
-standard library.  ``eval`` and the models reach numpy through the module
-global that the first model build sets, with no import statement per call.
+so the exact assembly, the checks, the moments and most cold thresholds and
+quantiles, import nothing outside the standard library.  ``eval`` and the
+models reach numpy through the module global that ``_load_numpy`` sets, with
+no import statement per call.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import mul
 from typing import IO, Iterable, Sequence
 
 from .coefficients import CoefficientTable, ConsistencyError, moment_sum
@@ -81,7 +97,7 @@ _QUANTILE_MAX_ITER = 200
 # exact breakpoint levels this far from p decide bisection steps: 1e4 times the certified 1e-13
 _LEVEL_MARGIN = 1e-9
 
-np = None  # numpy, once a float operation has called _load_numpy
+np = None  # numpy, once an array operation has called _load_numpy
 
 
 def _load_numpy():
@@ -247,6 +263,20 @@ class PiecewisePolynomial:
             return self._outside[1]
         return self._model(code - 1).at(x)
 
+    def _reads_below(self, x: float, p: float) -> bool:
+        """``eval(x) < p`` for x on the span, the question a bisection step asks.
+
+        Until numpy is loaded, the model's rounding bound decides the step
+        where it can (:meth:`_ChebModel.reads_below`); an undecided step, and
+        every step once numpy is loaded, compares :meth:`_ChebModel.at`.
+        """
+        model = self._model(bisect_right(self._edges, x) - 1)
+        if np is None:
+            below = model.reads_below(x, p)
+            if below is not None:
+                return below
+        return model.at(x) < p
+
 
 class _ChebModel(Frozen):
     """One segment's Chebyshev-Lobatto interpolant, evaluated in barycentric form.
@@ -255,17 +285,33 @@ class _ChebModel(Frozen):
     ``values`` holds the exact polynomial at each node, rounded once;
     ``weighted`` has the columns w_k * values_k and w_k, w_k the barycentric
     weights; ``tail`` is the exact sum of |c_k| over the dropped Chebyshev
-    terms; ``at_node`` maps node to value, for :meth:`at`.
+    terms; ``at_node`` maps node to value, for :meth:`at`.  The model is built
+    on Python floats; the three arrays are made from those lists on first use,
+    which loads numpy, and :meth:`reads_below` needs only the lists.
     """
 
-    __slots__ = ("nodes", "values", "weighted", "tail", "at_node")
+    __slots__ = ("tail", "at_node", "_lists", "_arrays")
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, weighted: np.ndarray, tail: Fraction):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weighted", weighted)
+    def __init__(self, nodes: list[float], values: list[float], weights: list[float], tail: Fraction):
+        columns = ([w * v for w, v in zip(weights, values)], weights)
+        object.__setattr__(self, "_lists", (nodes, values, columns))
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "at_node", dict(zip(nodes.tolist(), values.tolist())))
+        object.__setattr__(self, "at_node", dict(zip(nodes, values)))
+
+    def _numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``nodes``, ``values`` and ``weighted``, made from the lists on first use."""
+        try:
+            return self._arrays
+        except AttributeError:
+            _load_numpy()
+            nodes, values, columns = self._lists
+            weighted = np.stack([np.array(c) for c in columns], axis=1)
+            object.__setattr__(self, "_arrays", (np.array(nodes), np.array(values), weighted))
+            return self._arrays
+
+    nodes = property(lambda self: self._numpy()[0])
+    values = property(lambda self: self._numpy()[1])
+    weighted = property(lambda self: self._numpy()[2])
 
     def __repr__(self) -> str:
         return (
@@ -278,24 +324,73 @@ class _ChebModel(Frozen):
         hit = self.at_node.get(x)
         if hit is not None:
             return hit
-        r = x - self.nodes
+        nodes, _, weighted = self._numpy()
+        r = x - nodes
         np.divide(1.0, r, out=r)
-        sums = r[None] @ self.weighted
+        sums = r[None] @ weighted
         return float(sums[0, 0] / sums[0, 1])
+
+    def reads_below(self, x: float, p: float) -> bool | None:
+        """Whether ``at(x) < p``, decided on Python floats; None when they cannot tell.
+
+        :meth:`at` forms q_k = 1/(x - x_k) exactly as this method does, then
+        lets BLAS sum the products q_k*a_k of each column a in some order,
+        perhaps with fused multiply-adds.  Here t_k = fl(q_k*a_k),
+        s = fsum(t) and A = fsum(|t|), both correctly rounded, with
+        u = 2^-53.  For m products and any order, the BLAS sum S satisfies
+        |S - sum q_k*a_k| <= gamma_m * sum |q_k*a_k|, gamma_m = m*u/(1 - m*u)
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        section 3.1); the products add u * sum |q_k*a_k| and fsum u*|sum t|,
+        and sum |q_k*a_k| <= A/(1 - u)^2.  Together
+        |S - s| <= ((m + 2)*u + O(m^2*u^2)) * A <= (m + 3)*u*A for m < 2^20.
+        Gradual underflow adds at most 2^-1075 per product and fused
+        multiply-add, inside the m*2^-1072 added to the radius.  Endpoints
+        and quotient corners are rounded outward with ``math.nextafter``, and
+        rounding to nearest is monotone, so fl(S0/S1) lies in [lo, hi]: below
+        p if hi < p, at or above it if lo >= p.  A denominator interval
+        holding 0, or a non-finite endpoint, leaves the step undecided.
+        """
+        hit = self.at_node.get(x)
+        if hit is not None:
+            return hit < p
+        nodes, _, columns = self._lists
+        m = len(nodes)
+        rel, floor = (m + 3) * 2.0**-53, m * 2.0**-1072
+        bounds = []
+        try:
+            q = [1.0 / (x - node) for node in nodes]
+            for column in columns:
+                t = list(map(mul, q, column))
+                s = math.fsum(t)
+                e = math.nextafter(rel * math.fsum(map(abs, t)) + floor, math.inf)
+                bounds.append(math.nextafter(s - e, -math.inf))
+                bounds.append(math.nextafter(s + e, math.inf))
+        except (ArithmeticError, ValueError):
+            return None
+        n_lo, n_hi, d_lo, d_hi = bounds
+        if not all(map(math.isfinite, bounds)) or d_lo <= 0.0 <= d_hi:
+            return None
+        corners = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
+        if math.nextafter(max(corners), math.inf) < p:
+            return True
+        if math.nextafter(min(corners), -math.inf) >= p:
+            return False
+        return None
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """Second-form barycentric formula; a point on a node returns that node's value."""
+        nodes, values, weighted = self._numpy()
         out = np.empty(xs.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, xs.size, _EVAL_CHUNK):
-                r = xs[start : start + _EVAL_CHUNK, None] - self.nodes
+                r = xs[start : start + _EVAL_CHUNK, None] - nodes
                 np.divide(1.0, r, out=r)
-                sums = r @ self.weighted
+                sums = r @ weighted
                 out[start : start + _EVAL_CHUNK] = sums[:, 0] / sums[:, 1]
         # exactly on a node the sums are inf/inf; no other point gives NaN
         hit = np.isnan(out)
         if hit.any():
-            out[hit] = self.values[np.searchsorted(self.nodes, xs[hit])]
+            out[hit] = values[np.searchsorted(nodes, xs[hit])]
         return out
 
 
@@ -312,10 +407,10 @@ def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:
     The model keeps the fewest n >= 1 terms whose dropped tail
     sum_(k>=n) |c_k| is under ``_CHOP_BUDGET`` and stores seg at the n + 1
     Chebyshev-Lobatto points, each value one correctly rounded ``int / int``
-    (so F(K) = 1 reads exactly 1.0).  A value past the double range raises
-    OverflowError.
+    (so F(K) = 1 reads exactly 1.0).  The points are rounded by the same
+    operations, in the same order, as numpy's elementwise formula.  A value
+    past the double range raises OverflowError.
     """
-    _load_numpy()
     A, D = seg.integer_form()
     A = A or (0,)
     d = len(A) - 1
@@ -339,25 +434,24 @@ def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:
         tail += abs(c[n])
 
     lo_f, hi_f = float(lo), float(hi)
-    nodes = (lo_f + 0.5 * (hi_f - lo_f)) + 0.5 * (hi_f - lo_f) * np.cos(
-        np.pi * np.arange(n, -1, -1) / n
-    )
+    half = 0.5 * (hi_f - lo_f)
+    mid = lo_f + half
+    nodes = [mid + half * math.cos(math.pi * k / n) for k in range(n, -1, -1)]
     nodes[0] = lo_f
     nodes[-1] = hi_f
-    weights = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    weights = [-1.0 if k % 2 else 1.0 for k in range(n + 1)]
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    values = np.empty(n + 1)
-    for t, x in enumerate(nodes.tolist()):
+    values = []
+    for x in nodes:
         # sum_k A_k num^k den^(d-k) by Horner, with den = 2^shift a power of two
         num, x_den = x.as_integer_ratio()
         shift = x_den.bit_length() - 1
         acc = 0
         for k, a in enumerate(reversed(A)):
             acc = acc * num + (a << (shift * k))
-        values[t] = acc / (D << (shift * d))
-    weighted = np.stack([weights * values, weights], axis=1)
-    return _ChebModel(nodes=nodes, values=values, weighted=weighted, tail=Fraction(tail, den))
+        values.append(acc / (D << (shift * d)))
+    return _ChebModel(nodes, values, weights, Fraction(tail, den))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +602,9 @@ def quantile(d: SleDistribution, p: float) -> float:
     """Inverse CDF by bisection to absolute x-tolerance 1e-12.
 
     A midpoint on the far side of a breakpoint whose exact level is more than
-    ``_LEVEL_MARGIN`` from p is decided without evaluating (module docstring).
+    ``_LEVEL_MARGIN`` from p is decided without evaluating; before numpy is
+    loaded, the model's rounding bound decides the other steps it can
+    (module docstring).
     """
     if math.isnan(p) or not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
@@ -528,7 +624,7 @@ def quantile(d: SleDistribution, p: float) -> float:
         if hi - lo <= _QUANTILE_XTOL:
             break
         mid = 0.5 * (lo + hi)
-        if mid <= below or (mid < above and d.cdf.eval(mid) < p):
+        if mid <= below or (mid < above and d.cdf._reads_below(mid, p)):
             lo = mid
         else:
             hi = mid

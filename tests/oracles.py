@@ -1,8 +1,9 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
 the exponential-polynomial ring with the moments L_a and the K = 4 determinant
 in it, the moments and the mass check summed one Fraction per term, the PDF
-and CDF assembly on Fractions, a float evaluation dispatch with one mask per
-segment, and the serial Monte Carlo sampler.
+and CDF assembly on Fractions, the float models' arrays built with numpy, a
+float evaluation dispatch with one mask per segment, and the serial Monte
+Carlo sampler.
 
 sledist builds every table with the Hankel determinant engine on plain
 integers; these printed formulas and ring expansions are an independent
@@ -13,7 +14,8 @@ Carlo stream that the pipelined ``sample_sle`` must reproduce bit for bit.
 The Fraction moment sums give the exact values that the integer sums of
 ``sle_moment``, ``lambda1_moment`` and ``CoefficientTable.normalization``
 must equal, and the Fraction PDF and CDF assembly gives the segments that the
-integer-form assembly must equal.
+integer-form assembly must equal.  The numpy model construction gives the
+arrays that the models, built on Python floats, must reproduce bit for bit.
 """
 
 import math
@@ -350,6 +352,59 @@ def sle_cdf_fractions(K: int, pdf: list[tuple[Fraction, ...]]) -> list[tuple[Fra
         segments.append(anti)
         level = _fraction_value(anti, bps[t + 1])
     return segments
+
+
+# ---------------------------------------------------------------------------
+# float models built on numpy
+
+_CHOP_BUDGET = Fraction(2.5e-14)
+
+
+def chebyshev_model_reference(seg: Polynomial, lo: Fraction, hi: Fraction):
+    """``nodes``, ``values`` and ``weighted`` of a segment's float model, built with numpy.
+
+    The integer Chebyshev conversion and chop of ``_chebyshev_model``,
+    followed by the array construction the float models used before they
+    were built on Python floats: nodes by ``np.cos``, weights by ``np.where``.
+    """
+    A, D = seg.integer_form()
+    A = A or (0,)
+    d = len(A) - 1
+    Q = math.lcm(lo.denominator, hi.denominator)
+    P = int(2 * Q * (lo + hi))
+    H = int(Q * (hi - lo))
+    c = [A[d]]
+    scale = 1
+    for k in range(d - 1, -1, -1):
+        hc = [H * v for v in c]
+        c = [P * v + a + b for v, a, b in zip(c + [0], hc[1:] + [0, 0], [0, 2 * hc[0]] + hc[1:])]
+        scale *= 4 * Q
+        c[0] += A[k] * scale
+    limit = _CHOP_BUDGET.numerator * D * scale
+    n, tail = len(c), 0
+    while n > 1 and (tail + abs(c[n - 1])) * _CHOP_BUDGET.denominator < limit:
+        n -= 1
+        tail += abs(c[n])
+
+    lo_f, hi_f = float(lo), float(hi)
+    nodes = (lo_f + 0.5 * (hi_f - lo_f)) + 0.5 * (hi_f - lo_f) * np.cos(
+        np.pi * np.arange(n, -1, -1) / n
+    )
+    nodes[0] = lo_f
+    nodes[-1] = hi_f
+    weights = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    values = np.empty(n + 1)
+    for t, x in enumerate(nodes.tolist()):
+        num, x_den = x.as_integer_ratio()
+        shift = x_den.bit_length() - 1
+        acc = 0
+        for k, a in enumerate(reversed(A)):
+            acc = acc * num + (a << (shift * k))
+        values[t] = acc / (D << (shift * d))
+    weighted = np.stack([weights * values, weights], axis=1)
+    return nodes, values, weighted
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from sledist import (
 
 from conftest import EXACT_CONFIGS, MOMENT_CONFIGS, cached_dist, cached_table
 from oracles import (
+    chebyshev_model_reference,
     eval_many_reference,
     eval_reference,
     lambda1_moment_reference,
@@ -433,6 +434,47 @@ def test_eval_is_bit_identical_to_the_reference_dispatch(K, N):
             got, want = pw.eval_many(xs), eval_many_reference(pw, xs)
             assert got.shape == want.shape
             assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (4, 52), (4, 64), (8, 8), (9, 10)])
+def test_models_on_python_floats_match_the_numpy_construction(K, N):
+    # pins math.cos to np.cos on every node a model uses
+    d = cached_dist(K, N)
+    for pw in (d.pdf, d.cdf):
+        for t, seg in enumerate(pw.segments):
+            model = pw._model(t)
+            want = chebyshev_model_reference(seg, pw.breakpoints[t], pw.breakpoints[t + 1])
+            for got, ref in zip((model.nodes, model.values, model.weighted), want):
+                assert got.shape == ref.shape and got.flags.c_contiguous
+                assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
+def test_rounding_bound_never_contradicts_blas(K, N):
+    # p within 4096 ulps of the BLAS value, or anywhere; on and beside nodes too
+    d = cached_dist(K, N)
+    rng = np.random.default_rng(100 * K + N)
+    decided = undecided = 0
+    for pw in (d.pdf, d.cdf):
+        for t in range(len(pw.segments)):
+            model = pw._model(t)
+            lo, hi = float(pw.breakpoints[t]), float(pw.breakpoints[t + 1])
+            near = rng.choice(model.nodes, 8).tolist()
+            xs = rng.uniform(lo, hi, 80).tolist() + near + [math.nextafter(x, hi) for x in near]
+            for x in xs:
+                value = model.at(x)
+                shifts = [0] + rng.integers(-4096, 4097, 4).tolist()
+                ps = [value + k * math.ulp(value) for k in shifts]
+                ps += [rng.uniform(), rng.uniform(0.0, 2.0) * value]
+                for p in ps:
+                    below = model.reads_below(x, p)
+                    if below is None:
+                        undecided += 1
+                    else:
+                        decided += 1
+                        assert below == (value < p), (t, x, p)
+    # both paths ran: the bound decided most steps and left some to BLAS
+    assert decided > undecided > 0
 
 
 def test_eval_many_shapes_and_outside():
