@@ -23,10 +23,14 @@ Practice, Thm 4.2), and the barycentric formula is forward stable at these
 points (Higham, IMA J. Numer. Anal. 24, 2004).
 
 A warm evaluation pays for little beyond that formula.  ``eval``, which
-bisection calls, stays on Python floats up to the model's one-row product;
-``eval_many`` groups a batch by segment with one stable sort.  The tests hold
-both, bit for bit, to a reference dispatch that selects each segment's points
-by a mask.
+bisection calls, stays on Python floats up to the model's one-row product.
+``eval_many`` groups a batch by segment with one radix sort of 16-bit
+segment codes, and each model forms its point-by-node differences x - x_k as
+one product of (x, 1) rows with ``[1; -nodes]``: both products are exact, so
+BLAS rounds each entry once, to the bits of the subtraction, in place of a
+broadcast loop as short as the node count.  The tests hold both paths, bit
+for bit, to a reference dispatch that selects each segment's points by a mask
+and subtracts.
 
 ``quantile`` bisects the float CDF, but the exact CDF levels at the
 breakpoints, which construction computes for its checks, decide every step
@@ -67,6 +71,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import IO, Iterable, Sequence
 
@@ -140,6 +145,7 @@ class PiecewisePolynomial:
         # and x > upper at len(segs) + 1
         self._edges = [float(b) for b in bps]
         self._edges[-1] = math.nextafter(self._edges[-1], math.inf)
+        self._edge_array = None  # _edges as an array, made on the first eval_many
         self._outside = (float(self.outside_low), float(self.outside_high))
         self._models: dict[int, _ChebModel] = {}
 
@@ -219,29 +225,44 @@ class PiecewisePolynomial:
     def eval_many(self, xs: Iterable[float], backend: object = None) -> np.ndarray:
         """Vectorized float evaluation; off the span the outside values, NaN rejected.
 
-        One stable sort groups the points by segment, and each segment's model
-        evaluates its points in their original order, in blocks of
-        ``_EVAL_CHUNK``.  A one-point batch goes through :meth:`eval`.
-        ``backend`` is ignored: evaluation has a single numpy path.  The slot
-        stays because the benchmark's tracing wrapper passes it positionally.
+        The points are grouped by segment with one stable sort of their
+        ``uint16`` segment codes, which numpy runs as a radix sort, and each
+        segment's model evaluates its points in their original order, in
+        blocks of ``_EVAL_CHUNK``, from one (x, 1) row per point (see
+        :meth:`_ChebModel.__call__`).  NaN sorts past every edge, so only the
+        group above the span is checked for it.  A one-point batch goes
+        through :meth:`eval`.  ``backend`` is ignored: evaluation has a single
+        numpy path.  The slot stays because the benchmark's tracing wrapper
+        passes it positionally.
         """
         _load_numpy()
         arr = np.asarray(xs, dtype=np.float64)
         if arr.size == 1:
             return np.full(arr.shape, self.eval(arr.item()))
         flat = arr.ravel()
-        if np.isnan(flat).any():
-            raise ValueError("cannot evaluate at NaN")
-        codes = np.searchsorted(self._edges, flat, side="right")
+        if self._edge_array is None:
+            self._edge_array = np.array(self._edges)
+        # K*N <= MAX_KN with N >= K keeps K <= 44, so the codes fit 16 bits
+        codes = np.searchsorted(self._edge_array, flat, side="right").astype(np.uint16)
         order = np.argsort(codes, kind="stable")
-        pts = flat[order]
-        bounds = np.searchsorted(codes[order], np.arange(len(self.segments) + 3)).tolist()
-        vals = np.empty(pts.shape)
+        counts = np.bincount(codes, minlength=len(self.segments) + 2).tolist()
+        bounds = list(accumulate(counts, initial=0))
+        pairs = np.empty((flat.size, 2))
+        pairs[:, 0] = flat[order]
+        pairs[:, 1] = 1.0
+        above = bounds[-2]
+        if above < flat.size and np.isnan(pairs[above:, 0]).any():
+            raise ValueError("cannot evaluate at NaN")
+        vals = np.empty(flat.shape)
         vals[: bounds[1]] = self._outside[0]
-        vals[bounds[-2] :] = self._outside[1]
-        for t, (a, b) in enumerate(zip(bounds[1:-2], bounds[2:-1])):
-            if a < b:
-                vals[a:b] = self._model(t)(pts[a:b])
+        vals[above:] = self._outside[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t, (a, b) in enumerate(zip(bounds[1:-2], bounds[2:-1])):
+                if a < b:
+                    self._model(t)(pairs[a:b], vals[a:b])
+        # a point on a node reads NaN; its value is the node's, which eval returns
+        for i in np.flatnonzero(np.isnan(vals)).tolist():
+            vals[i] = self.eval(pairs[i, 0])
         out = np.empty(flat.shape)
         out[order] = vals
         return out.reshape(arr.shape)
@@ -286,8 +307,10 @@ class _ChebModel(Frozen):
     ``weighted`` has the columns w_k * values_k and w_k, w_k the barycentric
     weights; ``tail`` is the exact sum of |c_k| over the dropped Chebyshev
     terms; ``at_node`` maps node to value, for :meth:`at`.  The model is built
-    on Python floats; the three arrays are made from those lists on first use,
-    which loads numpy, and :meth:`reads_below` needs only the lists.
+    on Python floats; the three arrays, and the (2, m) operand
+    ``[1, ..., 1; -nodes]`` that :meth:`__call__` forms differences with, are
+    made from those lists on first use, which loads numpy, and
+    :meth:`reads_below` needs only the lists.
     """
 
     __slots__ = ("tail", "at_node", "_lists", "_arrays")
@@ -298,16 +321,18 @@ class _ChebModel(Frozen):
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "at_node", dict(zip(nodes, values)))
 
-    def _numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``nodes``, ``values`` and ``weighted``, made from the lists on first use."""
+    def _numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``nodes``, ``values``, ``weighted`` and ``[1; -nodes]``, made on first use."""
         try:
             return self._arrays
         except AttributeError:
             _load_numpy()
             nodes, values, columns = self._lists
             weighted = np.stack([np.array(c) for c in columns], axis=1)
-            object.__setattr__(self, "_arrays", (np.array(nodes), np.array(values), weighted))
-            return self._arrays
+            shift = np.array([[1.0] * len(nodes), [-x for x in nodes]])
+            arrays = (np.array(nodes), np.array(values), weighted, shift)
+            object.__setattr__(self, "_arrays", arrays)
+            return arrays
 
     nodes = property(lambda self: self._numpy()[0])
     values = property(lambda self: self._numpy()[1])
@@ -324,7 +349,7 @@ class _ChebModel(Frozen):
         hit = self.at_node.get(x)
         if hit is not None:
             return hit
-        nodes, _, weighted = self._numpy()
+        nodes, _, weighted, _ = self._numpy()
         r = x - nodes
         np.divide(1.0, r, out=r)
         sums = r[None] @ weighted
@@ -377,21 +402,30 @@ class _ChebModel(Frozen):
             return False
         return None
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        """Second-form barycentric formula; a point on a node returns that node's value."""
-        nodes, values, weighted = self._numpy()
-        out = np.empty(xs.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start in range(0, xs.size, _EVAL_CHUNK):
-                r = xs[start : start + _EVAL_CHUNK, None] - nodes
-                np.divide(1.0, r, out=r)
-                sums = r @ weighted
-                out[start : start + _EVAL_CHUNK] = sums[:, 0] / sums[:, 1]
-        # exactly on a node the sums are inf/inf; no other point gives NaN
-        hit = np.isnan(out)
-        if hit.any():
-            out[hit] = values[np.searchsorted(nodes, xs[hit])]
-        return out
+    def __call__(self, pairs: np.ndarray, out: np.ndarray) -> None:
+        """Second-form barycentric formula at the points ``pairs[:, 0]``, into ``out``.
+
+        ``pairs`` holds one C-ordered row (x, 1) per point.  A block of up to
+        ``_EVAL_CHUNK`` rows forms its point-by-node differences as one
+        product with the (2, m) operand ``[1, ..., 1; -nodes]``: entry (i, k)
+        is x_i*1 + 1*(-x_k).  Both products are exact, and BLAS runs with
+        beta = 0, so whatever order, kernel or fused multiply-add it picks,
+        the entry is one rounding of x_i - x_k: bit for bit the subtraction
+        ``x_i - nodes``, +0.0 where x_i == x_k as there, at BLAS speed rather
+        than in a broadcast loop m long.  The reciprocals, the product with
+        ``weighted`` and the quotient take the (b, m) result in the layout
+        the subtraction gives, so every value has the bits of the
+        subtraction form.  A point on a node divides by zero and reads NaN
+        (inf/inf); ``eval_many`` calls this inside one
+        ``np.errstate(divide="ignore", invalid="ignore")`` per batch and puts
+        the node's value there.
+        """
+        _, _, weighted, shift = self._numpy()
+        for start in range(0, len(pairs), _EVAL_CHUNK):
+            r = pairs[start : start + _EVAL_CHUNK] @ shift
+            np.divide(1.0, r, out=r)
+            sums = r @ weighted
+            np.divide(sums[:, 0], sums[:, 1], out=out[start : start + _EVAL_CHUNK])
 
 
 def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:

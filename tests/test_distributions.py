@@ -410,14 +410,51 @@ def _probe_points(pw, K):
     nodes = [pw._model(t).nodes for t in range(len(pw.segments))]
     near = np.concatenate(nodes + [[float(b) for b in pw.breakpoints]])
     off = [-np.inf, -1.0, 0.0, 0.5, K + 0.5, 2.0 * K, np.inf]
-    return np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), off])
+    return np.append(_with_neighbours(near), off)
+
+
+def _with_neighbours(values):
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
 
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (8, 8)])
+def _pairs(xs):
+    """The (x, 1) rows ``_ChebModel.__call__`` takes."""
+    return np.column_stack([xs, np.ones_like(xs)])
+
+
+def _assert_difference_rounds_once(xs, shift, nodes, rows):
+    # each point as a one-row block, which may take another BLAS kernel, or all
+    # of them, repeated, as one block of the given rows
+    blocks = [xs[i : i + 1] for i in range(len(xs))] if rows == 1 else [np.resize(xs, rows)]
+    for block in blocks:
+        assert np.array_equal(_bits(_pairs(block) @ shift), _bits(block[:, None] - nodes))
+
+
+@pytest.mark.parametrize("rows", [1, 4096])
+def test_difference_product_rounds_once(rows):
+    # [x, 1] @ [1; -n] = x*1 + 1*(-n) is two exact products, so one rounding
+    # gives x - n bit for bit, +0.0 at x == n; a BLAS that rounds twice fails here
+    rng = np.random.default_rng(rows)
+    for K, N in EXACT_CONFIGS:
+        d = cached_dist(K, N)
+        bps = np.array([float(b) for b in d.pdf.breakpoints])
+        for pw in (d.pdf, d.cdf):
+            for t in range(len(pw.segments)):
+                nodes, _, _, shift = pw._model(t)._numpy()
+                xs = np.append(_with_neighbours(np.append(nodes, bps)), rng.uniform(1, 1000, 64))
+                _assert_difference_rounds_once(xs, shift, nodes, rows)
+    for m in (2, 34, 57):
+        nodes = rng.uniform(1, 1000, m)
+        shift = np.array([np.ones(m), -nodes])
+        xs = rng.permutation(np.append(_with_neighbours(nodes), rng.uniform(1, 1000, 256)))
+        _assert_difference_rounds_once(xs, shift, nodes, rows)
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (4, 58), (8, 8), (9, 10)])
 def test_eval_is_bit_identical_to_the_reference_dispatch(K, N):
     d = cached_dist(K, N)
     rng = np.random.default_rng(1000 * K + N)
@@ -429,7 +466,14 @@ def test_eval_is_bit_identical_to_the_reference_dispatch(K, N):
         for n in (0, 1, 2, 16, 4097):
             batches += [rng.choice(probes, n), rng.uniform(0.5, K + 0.5, n)]
         # one segment's 4097 points cross the 4096-point block
-        batches.append(rng.uniform(float(pw.breakpoints[0]), float(pw.breakpoints[1]), 4097))
+        first = (float(pw.breakpoints[0]), float(pw.breakpoints[1]))
+        batches.append(rng.uniform(*first, 4097))
+        # the CLI's curve grid, and the sorted batch ks_distance sends
+        batches += [default_grid(K, 512), np.sort(rng.uniform(1, K, 100_000))]
+        if len(pw.segments) > 1:
+            # a one-row block beside a full one and its one-row remainder
+            last = (float(pw.breakpoints[-2]), float(pw.breakpoints[-1]))
+            batches.append(rng.permutation(np.append(rng.uniform(*first, 4097), rng.uniform(*last))))
         for xs in batches:
             got, want = pw.eval_many(xs), eval_many_reference(pw, xs)
             assert got.shape == want.shape

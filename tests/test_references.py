@@ -4,7 +4,9 @@ entry in `perfbench/references/` by the benchmark's own comparison.  A change
 that would lower the benchmark's `ok_frac` fails here first.
 
 Every threshold and quantile request of those pools is also replayed as a
-cold process runs it, with bisection starting on the rounding bound.
+cold process runs it, with bisection starting on the rounding bound.  The
+warm `pvalue_stream` pool is replayed in process: every pooled point in
+batches of each size the workload sends, and every pooled alpha.
 """
 
 import contextlib
@@ -13,9 +15,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sledist import distributions
+from sledist import distributions, threshold_for_false_alarm
 from sledist.cli import main
 
 from conftest import cached_dist
@@ -25,8 +28,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
-from compare import cli_output_matches  # noqa: E402
-from workloads import EXACT_LARGE_K, EXACT_LONG_N  # noqa: E402
+from compare import cli_output_matches, thresholds_close, values_close  # noqa: E402
+from workloads import EXACT_LARGE_K, EXACT_LONG_N, PVALUE_STREAM  # noqa: E402
 
 # the last variant of each class: the smallest alpha or the largest p, the largest N
 REQUESTS = [(w.name, c.pool()[-1]) for w in (EXACT_LONG_N, EXACT_LARGE_K) for c in w.classes]
@@ -62,3 +65,17 @@ def test_bisection_on_the_rounding_bound_reproduces_the_reference(workload, argv
     K, N, value = int(argv[2]), int(argv[4]), float(argv[6])
     p = value if argv[0] == "quantile" else 1.0 - value
     assert answer == quantile_reference(cached_dist(K, N), p)
+
+
+@pytest.mark.parametrize("K, N", PVALUE_STREAM.shapes)
+def test_warm_pool_reproduces_the_pvalue_stream_reference(K, N):
+    refs = json.loads((PERFBENCH / "references" / "pvalue_stream.json").read_text())["dists"]
+    ref = next(r for r in refs if (r["K"], r["N"]) == (K, N))
+    d = cached_dist(K, N)
+    points, cdf = np.array(ref["points"]), np.array(ref["cdf"])
+    for size in PVALUE_STREAM.batch_sizes:
+        for start in range(0, len(points), size):
+            batch = slice(start, start + size)
+            assert values_close(d.cdf.eval_many(points[batch]), cdf[batch]), (size, start)
+    thresholds = [threshold_for_false_alarm(d, alpha) for alpha in ref["alphas"]]
+    assert thresholds_close(thresholds, ref["thresholds"], ref["pdf_at_threshold"])
