@@ -22,6 +22,18 @@ tail of the exact polynomial (Trefethen, Approximation Theory and Approximation
 Practice, Thm 4.2), and the barycentric formula is forward stable at these
 points (Higham, IMA J. Numer. Anal. 24, 2004).
 
+A distribution's PDF and CDF share one conversion per segment.  Once
+``SleDistribution`` has checked that each CDF segment differentiates to the
+PDF segment, the PDF takes its series from the CDF's, which the CDF keeps, by
+the Chebyshev derivative recurrence in O(d) (Mason & Handscomb, *Chebyshev
+Polynomials*, ch. 2): the same rationals, so the same chop and tail,
+whichever model is built first.  A hand-built ``PiecewisePolynomial`` converts
+its own segments.  Each node value comes from fixed-point Horner with a
+certified error bound, kept when both ends of the bound round to the same
+double (Ziv, ACM TOMS 17, 1991), and from exact Horner on integers when they
+do not, when the bound holds 0, or past the double range, so every value is
+the exact polynomial's correctly rounded.
+
 A warm evaluation pays for little beyond that formula.  ``eval``, which
 bisection calls, stays on Python floats up to the model's one-row product.
 ``eval_many`` groups a batch by segment with one radix sort of 16-bit
@@ -95,6 +107,10 @@ __all__ = [
 
 # absolute budget on the exact Chebyshev tail sum_{k>=n} |c_k| a segment may drop
 _CHOP_BUDGET = Fraction(2.5e-14)
+# fixed-point node values: bits past the error bound and a double's 53, and
+# how many times a node doubles its fraction bits before exact Horner decides
+_GUARD_BITS = 64
+_FIXED_POINT_DOUBLINGS = 2
 # points per barycentric block: a block's point-by-node matrix stays in cache
 _EVAL_CHUNK = 4096
 _QUANTILE_XTOL = 1e-12
@@ -148,6 +164,10 @@ class PiecewisePolynomial:
         self._edge_array = None  # _edges as an array, made on the first eval_many
         self._outside = (float(self.outside_low), float(self.outside_high))
         self._models: dict[int, _ChebModel] = {}
+        # each converted segment's exact Chebyshev series, kept for a linked derivative
+        self._series: dict[int, tuple[list[int], int]] = {}
+        # set by SleDistribution once these segments are checked to be its derivatives
+        self._antiderivative: PiecewisePolynomial | None = None
 
     @property
     def lower(self) -> Fraction:
@@ -207,12 +227,29 @@ class PiecewisePolynomial:
 
     # -- float evaluation ---------------------------------------------------
 
+    def _segment_series(self, t: int) -> tuple[list[int], int]:
+        """Segment t's exact Chebyshev series, derived from the antiderivative's when linked.
+
+        A converted series is kept, so each segment's O(d^2) conversion runs
+        once for a PDF and CDF, whichever model is built first.
+        """
+        lo, hi = self.breakpoints[t], self.breakpoints[t + 1]
+        if self._antiderivative is not None:
+            return _derivative_series(self._antiderivative._segment_series(t), lo, hi)
+        series = self._series.get(t)
+        if series is None:
+            series = self._series[t] = _chebyshev_series(self.segments[t], lo, hi)
+        return series
+
     def _model(self, t: int) -> _ChebModel:
         model = self._models.get(t)
         if model is None:
             try:
                 model = _chebyshev_model(
-                    self.segments[t], self.breakpoints[t], self.breakpoints[t + 1]
+                    self.segments[t],
+                    self.breakpoints[t],
+                    self.breakpoints[t + 1],
+                    self._segment_series(t),
                 )
             except OverflowError:
                 raise ValueError(
@@ -428,39 +465,84 @@ class _ChebModel(Frozen):
             np.divide(sums[:, 0], sums[:, 1], out=out[start : start + _EVAL_CHUNK])
 
 
-def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:
-    """Chop the exact Chebyshev series of ``seg`` on [lo, hi] and sample it.
+def _chebyshev_series(seg: Polynomial, lo: Fraction, hi: Fraction) -> tuple[list[int], int]:
+    """Integers c_j and den with seg = sum_j c_j T_j(u) / den on [lo, hi].
 
     With x = (lo + hi)/2 + (hi - lo)/2 * u and Q the common denominator of lo
-    and hi, 4Q*x = P + H*(2u) for the integers P = 2Q(lo + hi), H = Q(hi - lo).
-    Writing seg = sum_k A_k x^k / D over integers, Horner's rule in the
-    Chebyshev basis of u, c <- (P + H*2u)*c + A_k*(4Q)^(d-k), with
-    2u*T_0 = 2T_1 and 2u*T_j = T_(j-1) + T_(j+1), gives
-    seg = sum_j c_j T_j(u) / (D*(4Q)^d) with every c_j an integer.
-
-    The model keeps the fewest n >= 1 terms whose dropped tail
-    sum_(k>=n) |c_k| is under ``_CHOP_BUDGET`` and stores seg at the n + 1
-    Chebyshev-Lobatto points, each value one correctly rounded ``int / int``
-    (so F(K) = 1 reads exactly 1.0).  The points are rounded by the same
-    operations, in the same order, as numpy's elementwise formula.  A value
-    past the double range raises OverflowError.
+    and hi, 4Q*x = P + H*(2u) for the integers P = 2Q(lo + hi), H = Q(hi - lo);
+    S*x = P + H*(2u) after dividing S = 4Q, P and H by their gcd.  Writing
+    seg = sum_k A_k x^k / D over integers, Horner's rule in the Chebyshev
+    basis of u, c <- (P + H*2u)*c + A_k*S^(d-k), with 2u*T_0 = 2T_1 and
+    2u*T_j = T_(j-1) + T_(j+1), gives every c_j an integer over
+    den = D*S^d.  H = 1 on every segment for K = 2, 4 and 8, and the loop
+    then skips that product.  The O(d^2) loop is the costliest part of a model.
     """
     A, D = seg.integer_form()
     A = A or (0,)
     d = len(A) - 1
     Q = math.lcm(lo.denominator, hi.denominator)
-    P = int(2 * Q * (lo + hi))
-    H = int(Q * (hi - lo))
+    P, H, S = int(2 * Q * (lo + hi)), int(Q * (hi - lo)), 4 * Q
+    g = math.gcd(P, H, S)
+    P, H, S = P // g, H // g, S // g
     c = [A[d]]
     scale = 1
     for k in range(d - 1, -1, -1):
-        hc = [H * v for v in c]
-        from_above = hc[1:] + [0, 0]
-        from_below = [0, 2 * hc[0]] + hc[1:]
-        c = [P * v + a + b for v, a, b in zip(c + [0], from_above, from_below)]
-        scale *= 4 * Q
+        # term j of (P + H*2u)*c is P*c_j + H*(c_(j+1) + c_(j-1)), c_0 counted twice at j = 1
+        below = [0, 2 * c[0], *c[1:]]
+        c.append(0)
+        if H == 1:
+            c = [P * v + a + b for v, a, b in zip(c, [*c[1:], 0], below)]
+        else:
+            c = [P * v + H * (a + b) for v, a, b in zip(c, [*c[1:], 0], below)]
+        scale *= S
         c[0] += A[k] * scale
-    den = D * scale
+    return c, D * scale
+
+
+def _derivative_series(
+    series: tuple[list[int], int], lo: Fraction, hi: Fraction
+) -> tuple[list[int], int]:
+    """The series of seg' on [lo, hi], in O(d), from the series (C, den) of seg.
+
+    In u, sum_k C_k T_k differentiates to sum_k c'_k T_k, where
+    e_(k-1) = e_(k+1) + 2k*C_k from k = d down, c'_0 = e_0/2 and c'_k = e_k
+    (Mason & Handscomb, *Chebyshev Polynomials*, ch. 2), and d/dx is
+    (2Q/H) d/du.  So seg' = sum_k [e_0, 2e_1, 2e_2, ...]_k * Q * T_k / (den*H):
+    integers again, equal as rationals to :func:`_chebyshev_series` of seg',
+    so the chop, which compares exact rationals, keeps the same terms.
+    """
+    C, den = series
+    d = len(C) - 1
+    if d == 0:
+        return [0], 1
+    Q = math.lcm(lo.denominator, hi.denominator)
+    H = int(Q * (hi - lo))
+    e = [0] * (d + 2)
+    for k in range(d, 0, -1):
+        e[k - 1] = e[k + 1] + 2 * k * C[k]
+    twice = 2 * Q
+    return [e[0] * Q, *(v * twice for v in e[1:d])], den * H
+
+
+def _chebyshev_model(
+    seg: Polynomial, lo: Fraction, hi: Fraction, series: tuple[list[int], int]
+) -> _ChebModel:
+    """Chop the exact Chebyshev ``series`` of ``seg`` on [lo, hi] and sample ``seg``.
+
+    ``series`` is :func:`_chebyshev_series` of ``seg``, or, for a PDF
+    segment, :func:`_derivative_series` of the CDF segment's series, which
+    the CDF keeps: one O(d^2) conversion serves both models.  The two are
+    the same rationals.  The model keeps the fewest n >= 1 terms of
+    seg = sum_j c_j T_j(u) / den whose dropped tail sum_(k>=n) |c_k| / den
+    is under ``_CHOP_BUDGET``, an exact comparison, and stores seg at the
+    n + 1 Chebyshev-Lobatto points.  Each value is certified fixed-point
+    Horner's where both ends of its error bound round to one double, and
+    exact Horner's otherwise (:func:`_node_values`): either way the exact
+    value correctly rounded, so F(K) = 1 reads exactly 1.0.  The points are
+    rounded by the same operations, in the same order, as numpy's
+    elementwise formula.  A value past the double range raises OverflowError.
+    """
+    c, den = series
     limit = _CHOP_BUDGET.numerator * den
     n, tail = len(c), 0
     while n > 1 and (tail + abs(c[n - 1])) * _CHOP_BUDGET.denominator < limit:
@@ -476,16 +558,85 @@ def _chebyshev_model(seg: Polynomial, lo: Fraction, hi: Fraction) -> _ChebModel:
     weights = [-1.0 if k % 2 else 1.0 for k in range(n + 1)]
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    values = []
-    for x in nodes:
-        # sum_k A_k num^k den^(d-k) by Horner, with den = 2^shift a power of two
-        num, x_den = x.as_integer_ratio()
-        shift = x_den.bit_length() - 1
-        acc = 0
-        for k, a in enumerate(reversed(A)):
-            acc = acc * num + (a << (shift * k))
-        values.append(acc / (D << (shift * d)))
+    A, D = seg.integer_form()
+    values = _node_values(A or (0,), D, nodes)
     return _ChebModel(nodes, values, weights, Fraction(tail, den))
+
+
+def _node_values(A: Sequence[int], D: int, nodes: list[float]) -> list[float]:
+    """sum_k A_k x^k / D at each node x, correctly rounded, for integers A and D > 0.
+
+    Each node x = num/2^s first takes fixed-point Horner with F fractional
+    bits: a_k = floor(A_k*2^F/D), made once per F, and
+    acc <- floor(acc*num/2^s) + a_k.  Each of the 2d + 1 floors moves acc by
+    less than one unit of 2^-F, scaled by at most max(1, |x|)^d on its way
+    out, so 2^F times the exact value lies within E = 2(d+1)*max(1, |x|)^d
+    (:func:`_horner_bound`) of acc, for either sign of x.  Rounding to
+    nearest is monotone, so when the correctly rounded ``int / int`` ends
+    (acc - E)/2^F and (acc + E)/2^F agree, that double is the exact value's
+    (Ziv, ACM TOMS 17, 1991).  Otherwise F doubles, up to
+    ``_FIXED_POINT_DOUBLINGS`` times.  The first F puts ``_GUARD_BITS`` past
+    a double's 53 bits and the largest of the segment's bounds, so few
+    nodes retry.  An interval that holds 0, a value the doublings leave
+    undecided, and an end past the double range go to :func:`_exact_value`,
+    so only exact Horner returns a zero, whose sign it knows, or raises
+    OverflowError.  The SLE density is 0 at x = 1 and x = K; those nodes
+    are integers, where exact Horner is cheap.
+    """
+    d = len(A) - 1
+    bounds = [_horner_bound(d, x) for x in nodes]
+    first = max(bounds).bit_length() + 53 + _GUARD_BITS
+    scaled: dict[int, list[int]] = {}  # F -> a_d, ..., a_0, made when a node first needs F
+    values = []
+    for x, E in zip(nodes, bounds):
+        num, den = x.as_integer_ratio()
+        s = den.bit_length() - 1
+        value, F = None, first
+        for _ in range(_FIXED_POINT_DOUBLINGS + 1):
+            a = scaled.get(F)
+            if a is None:
+                a = scaled[F] = [(c << F) // D for c in reversed(A)]
+            acc = 0
+            for c in a:
+                acc = (acc * num >> s) + c
+            if acc - E <= 0 <= acc + E:
+                break
+            unit = 1 << F
+            try:
+                low, high = (acc - E) / unit, (acc + E) / unit
+            except OverflowError:
+                break
+            if low == high:
+                value = low
+                break
+            F *= 2
+        values.append(_exact_value(A, D, x) if value is None else value)
+    return values
+
+
+def _horner_bound(d: int, x: float) -> int:
+    """An integer at least 2(d+1)*max(1, |x|)^d, from max(1, |x|) rounded up to 20 bits."""
+    num, den = max(1.0, abs(x)).as_integer_ratio()
+    cut = max(0, num.bit_length() - 20)
+    top = -(-num >> cut)
+    bound = 2 * (d + 1) * top**d
+    z = (den.bit_length() - 1 - cut) * d
+    return -(-bound >> z) if z >= 0 else bound << -z
+
+
+def _exact_value(A: Sequence[int], D: int, x: float) -> float:
+    """sum_k A_k x^k / D correctly rounded: Horner on integers, one ``int / int``.
+
+    With x = num/2^s, the sum sum_k A_k num^k 2^(s(d-k)) is exact; the
+    accumulator carries s*d bits that the fixed-point path avoids.  A value
+    past the double range raises OverflowError.
+    """
+    num, x_den = x.as_integer_ratio()
+    shift = x_den.bit_length() - 1
+    acc = 0
+    for k, a in enumerate(reversed(A)):
+        acc = acc * num + (a << (shift * k))
+    return acc / (D << (shift * (len(A) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +758,8 @@ class SleDistribution(Frozen):
         for t, (cseg, pseg) in enumerate(zip(self.cdf.segments, self.pdf.segments)):
             if cseg.derivative() != pseg:
                 raise ConsistencyError(f"CDF derivative differs from PDF on segment {t}")
+        # the check just made is what lets the PDF's float models use the CDF's series
+        self.pdf._antiderivative = self.cdf
         levels = [0.0]
         for t in range(len(self.cdf.segments) - 1):
             b = self.cdf.breakpoints[t + 1]

@@ -361,11 +361,12 @@ _CHOP_BUDGET = Fraction(2.5e-14)
 
 
 def chebyshev_model_reference(seg: Polynomial, lo: Fraction, hi: Fraction):
-    """``nodes``, ``values`` and ``weighted`` of a segment's float model, built with numpy.
+    """``nodes``, ``values``, ``weighted`` and the exact ``tail`` of a segment's float model.
 
-    The integer Chebyshev conversion and chop of ``_chebyshev_model``,
-    followed by the array construction the float models used before they
-    were built on Python floats: nodes by ``np.cos``, weights by ``np.where``.
+    The segment's own integer Chebyshev conversion and the chop, followed by
+    the array construction the float models used before they were built on
+    Python floats: nodes by ``np.cos``, weights by ``np.where``, and every
+    value by exact Horner on integers, one correctly rounded ``int / int``.
     """
     A, D = seg.integer_form()
     A = A or (0,)
@@ -404,7 +405,7 @@ def chebyshev_model_reference(seg: Polynomial, lo: Fraction, hi: Fraction):
             acc = acc * num + (a << (shift * k))
         values[t] = acc / (D << (shift * d))
     weighted = np.stack([weights * values, weights], axis=1)
-    return nodes, values, weighted
+    return nodes, values, weighted, Fraction(tail, D * scale)
 
 
 # ---------------------------------------------------------------------------

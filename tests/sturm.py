@@ -1,38 +1,70 @@
-"""Exact Sturm root counting: the certificate behind the PDF sign tests."""
+"""Exact Sturm root counting: the certificate behind the PDF sign tests.
+
+The chain runs on primitive integer polynomials.  Each pseudo-remainder
+multiplies by the positive |lc|^(delta+1) in place of a rational division,
+and each remainder is divided by its positive content, so every member is a
+positive multiple of the rational Sturm chain's and the sign counts are the
+same, without the rational chain's growth of numerators and denominators.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from sledist import Polynomial
+from sledist.exact import horner
 
-from polyops import is_zero, neg
-
-
-def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, a.degree - b.degree + 1)
-    rem = list(a.coefficients)
-    bl = b.coefficients[-1]
-    bd = b.degree
-    while len(rem) - 1 >= bd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < bd:
-            break
-        shift = len(rem) - 1 - bd
-        factor = rem[-1] / bl
-        quot[shift] = factor
-        for i, c in enumerate(b.coefficients):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return Polynomial(quot), Polynomial(rem)
+from polyops import is_zero
 
 
-def _sign_changes(values: list[Fraction]) -> int:
+def _primitive(A: list[int]) -> list[int]:
+    """A trimmed and divided by its positive content."""
+    while A and A[-1] == 0:
+        A.pop()
+    g = math.gcd(*A)
+    return [a // g for a in A] if g > 1 else A
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^(delta+1) * (a mod b) up to a positive factor, delta = deg a - deg b."""
+    r = list(a)
+    lc, db = b[-1], len(b) - 1
+    m, s = abs(lc), 1 if lc > 0 else -1
+    while len(r) - 1 >= db:
+        top, shift = s * r[-1], len(r) - 1 - db
+        # the leading term cancels: m*r_top - s*r_top*lc = 0
+        r = [m * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _deflate(A: list[int], a: int, b: int) -> list[int]:
+    """A / (b*x - a) for a root a/b in lowest terms of A: integers, by Gauss's lemma."""
+    q = [0] * (len(A) - 1)
+    carry = A[-1]
+    for k in range(len(A) - 1, 0, -1):
+        q[k - 1], rest = divmod(carry, b)
+        if rest:
+            raise ArithmeticError("inexact deflation")
+        carry = A[k - 1] + a * q[k - 1]
+    if carry:
+        raise ArithmeticError("inexact deflation")
+    return q
+
+
+def _sign_changes(values: list[int]) -> int:
     signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _signs_at(chain: list[list[int]], x: Fraction) -> int:
+    # horner gives b^d * q(a/b), b > 0, so the signs are those of q(x)
+    return _sign_changes([horner(q, x.numerator, x.denominator) for q in chain])
 
 
 def count_real_roots(p: Polynomial, lo: Fraction | int, hi: Fraction | int) -> int:
@@ -40,8 +72,7 @@ def count_real_roots(p: Polynomial, lo: Fraction | int, hi: Fraction | int) -> i
 
     Sturm-sequence sign-change count, fully exact.  Repeated roots count once;
     a root exactly at ``lo`` is excluded, one at ``hi`` is included.  Intended
-    for certifying sign patterns of density segments; cost grows quickly with
-    degree.
+    for certifying sign patterns of density segments.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -53,20 +84,16 @@ def count_real_roots(p: Polynomial, lo: Fraction | int, hi: Fraction | int) -> i
     # deflate both endpoints and count the open interval; lo is excluded by
     # the interval convention, a deflated hi is added back at the end
     root_at_hi = 1 if p(hi) == 0 else 0
+    A = _primitive(list(p.integer_form()[0]))
     for point in (lo, hi):
-        linear = Polynomial([-point, Fraction(1)])
-        while p(point) == 0:
-            p, _ = _poly_divmod(p, linear)
-    if p.degree == 0:
+        while horner(A, point.numerator, point.denominator) == 0:
+            A = _deflate(A, point.numerator, point.denominator)
+    if len(A) == 1:
         return root_at_hi
-    chain = [p, p.derivative()]
-    while not is_zero(chain[-1]) and chain[-1].degree > 0:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if is_zero(rem):
+    chain = [A, _primitive([k * a for k, a in enumerate(A)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(neg(rem))
-    if is_zero(chain[-1]):
-        chain.pop()
-    at_lo = _sign_changes([q(lo) for q in chain])
-    at_hi = _sign_changes([q(hi) for q in chain])
-    return at_lo - at_hi + root_at_hi
+        chain.append(_primitive([-c for c in rem]))
+    return _signs_at(chain, lo) - _signs_at(chain, hi) + root_at_hi

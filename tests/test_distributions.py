@@ -4,6 +4,7 @@ import copy
 import io
 import math
 import pickle
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sledist import distributions
 from sledist import (
     ConsistencyError,
     PiecewisePolynomial,
@@ -396,6 +398,88 @@ def test_overflowing_segment_rejected():
         pp.eval(1.5)
 
 
+def _assert_models_match_reference(pw):
+    for t, seg in enumerate(pw.segments):
+        model = pw._model(t)
+        *want, tail = chebyshev_model_reference(seg, pw.breakpoints[t], pw.breakpoints[t + 1])
+        for got, ref in zip((model.nodes, model.values, model.weighted), want):
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(ref))
+        assert model.tail == tail
+
+
+def test_value_just_below_the_overflow_threshold_reads_the_largest_double():
+    # T rounds past the double range and T - 2^-2000 to the largest double:
+    # the fixed-point interval reaches T, so exact Horner decides
+    T = 2**1024 - 2**970
+    pp = PiecewisePolynomial([1, 2], [Polynomial([F(T * 2**2000 - 1, 2**2000)])])
+    assert pp._model(0).values.tolist() == [sys.float_info.max] * 2
+    assert pp.eval(1.0) == pp.eval(2.0) == sys.float_info.max
+
+
+def _exact_float(A, D, x):
+    return float(F(sum(a * F(x) ** k for k, a in enumerate(A)), D))
+
+
+dyadics = st.builds(lambda m, e: m / 2**e, st.integers(-(40 << 20), 40 << 20), st.integers(0, 20))
+
+
+@given(
+    st.lists(st.integers(-(2**120), 2**120), min_size=1, max_size=24),
+    st.integers(1, 2**80),
+    st.lists(st.one_of(dyadics, st.floats(-40.0, 40.0)), min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_fixed_point_values_are_the_exact_values_rounded(A, D, xs):
+    # any sign of coefficient and of x, x = 0, |x| < 1, subnormal x, up to 40
+    assert distributions._node_values(A, D, xs) == [_exact_float(A, D, x) for x in xs]
+
+
+def test_rounding_midpoint_goes_to_exact_horner():
+    # p(3/4) = 1 + 3*2^-53, halfway between two doubles, which rounds up to
+    # even; the floors of x/3 leave the fixed-point sum just below it, so only
+    # an interval that holds the exact value leaves the choice to exact Horner
+    midpoint = 1 + F(3, 2**53)
+    A, D = Polynomial([midpoint - F(1, 4), F(1, 3)]).integer_form()
+    assert distributions._node_values(A, D, [0.75]) == [1 + 2.0**-51]
+
+
+def _recording_fallbacks(monkeypatch):
+    fallbacks = []
+    exact = distributions._exact_value
+
+    def recording(A, D, x):
+        value = exact(A, D, x)
+        fallbacks.append((x, value))
+        return value
+
+    monkeypatch.setattr(distributions, "_exact_value", recording)
+    return fallbacks
+
+
+@pytest.mark.parametrize("K,N", [(4, 10), (6, 6), (4, 40)])
+def test_zero_density_nodes_take_the_exact_fallback(monkeypatch, K, N):
+    # the density is exactly 0 at x = 1 and x = K: the interval holds 0 at any F
+    fallbacks = _recording_fallbacks(monkeypatch)
+    pdf = sle_distribution(cached_table(K, N)).pdf
+    models = [pdf._model(t) for t in range(len(pdf.segments))]
+    assert (1.0, 0.0) in fallbacks and (float(K), 0.0) in fallbacks
+    for value in (models[0].values[0], models[-1].values[-1]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # the fixed-point path decides most nodes
+    assert len(fallbacks) < sum(len(m.nodes) for m in models) / 3
+
+
+def test_too_few_fraction_bits_retry_then_fall_back(monkeypatch):
+    # a first F below the error bound forces doublings and exact fallbacks
+    monkeypatch.setattr(distributions, "_GUARD_BITS", -60)
+    fallbacks = _recording_fallbacks(monkeypatch)
+    d = sle_distribution(cached_table(4, 40))
+    for pw in (d.pdf, d.cdf):
+        _assert_models_match_reference(pw)
+    assert len(fallbacks) > 4
+
+
 def test_eval_rejects_nan():
     d = cached_dist(2, 10)
     with pytest.raises(ValueError):
@@ -480,17 +564,63 @@ def test_eval_is_bit_identical_to_the_reference_dispatch(K, N):
             assert np.array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (4, 52), (4, 64), (8, 8), (9, 10)])
+@pytest.mark.parametrize(
+    "K,N", EXACT_CONFIGS + [(4, 40), (4, 52), (4, 58), (4, 64), (8, 8), (9, 10), (2, 300)]
+)
 def test_models_on_python_floats_match_the_numpy_construction(K, N):
-    # pins math.cos to np.cos on every node a model uses
+    # pins math.cos to np.cos on every node a model uses, the PDF's series
+    # derived from the CDF's and the fixed-point values to the exact ones
     d = cached_dist(K, N)
     for pw in (d.pdf, d.cdf):
-        for t, seg in enumerate(pw.segments):
-            model = pw._model(t)
-            want = chebyshev_model_reference(seg, pw.breakpoints[t], pw.breakpoints[t + 1])
-            for got, ref in zip((model.nodes, model.values, model.weighted), want):
-                assert got.shape == ref.shape and got.flags.c_contiguous
-                assert np.array_equal(_bits(got), _bits(ref))
+        _assert_models_match_reference(pw)
+
+
+@pytest.mark.parametrize("K,N", [(2, 10), (4, 10), (8, 8)])
+def test_derivative_series_equals_the_converted_one(K, N):
+    # as rationals, term by term: the chop reads the terms from 1 up, so this
+    # is also what pins the constant term
+    d = cached_dist(K, N)
+    bps = d.pdf.breakpoints
+    cases = list(zip(d.cdf.segments, d.pdf.segments, bps, bps[1:]))
+    cases.append((Polynomial([F(5, 7), -3, F(1, 2)]), Polynomial([-3, 1]), F(-2, 3), F(5, 2)))
+    cases.append((Polynomial([F(9, 4)]), Polynomial(), F(1), F(2)))
+    for anti, seg, lo, hi in cases:
+        series = distributions._chebyshev_series(anti, lo, hi)
+        got, got_den = distributions._derivative_series(series, lo, hi)
+        want, want_den = distributions._chebyshev_series(seg, lo, hi)
+        assert [F(c, got_den) for c in got] == [F(c, want_den) for c in want]
+
+
+def _counting_conversions(monkeypatch):
+    converted = []
+    convert = distributions._chebyshev_series
+
+    def counting(seg, lo, hi):
+        converted.append(seg)
+        return convert(seg, lo, hi)
+
+    monkeypatch.setattr(distributions, "_chebyshev_series", counting)
+    return converted
+
+
+@pytest.mark.parametrize("pdf_first", [True, False])
+@pytest.mark.parametrize("K,N", [(4, 10), (8, 8), (4, 47)])
+def test_models_match_reference_whichever_is_built_first(monkeypatch, K, N, pdf_first):
+    # a fresh distribution: one conversion per segment, of the CDF's segment
+    converted = _counting_conversions(monkeypatch)
+    d = sle_distribution(cached_table(K, N))
+    for pw in (d.pdf, d.cdf) if pdf_first else (d.cdf, d.pdf):
+        _assert_models_match_reference(pw)
+    assert converted == list(d.cdf.segments)
+
+
+def test_hand_built_density_converts_its_own_segments(monkeypatch):
+    # no distribution links it to an antiderivative, so it takes the direct conversion
+    converted = _counting_conversions(monkeypatch)
+    d = cached_dist(4, 10)
+    pdf = PiecewisePolynomial(d.pdf.breakpoints, d.pdf.segments)
+    _assert_models_match_reference(pdf)
+    assert converted == list(pdf.segments)
 
 
 @pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
