@@ -24,15 +24,15 @@ points (Higham, IMA J. Numer. Anal. 24, 2004).
 
 A distribution's PDF and CDF share one conversion per segment.  Once
 ``SleDistribution`` has checked that each CDF segment differentiates to the
-PDF segment, the PDF takes its series from the CDF's, which the CDF keeps, by
-the Chebyshev derivative recurrence in O(d) (Mason & Handscomb, *Chebyshev
-Polynomials*, ch. 2): the same rationals, so the same chop and tail,
-whichever model is built first.  A hand-built ``PiecewisePolynomial`` converts
-its own segments.  Each node value comes from fixed-point Horner with a
-certified error bound, kept when both ends of the bound round to the same
-double (Ziv, ACM TOMS 17, 1991), and from exact Horner on integers when they
-do not, when the bound holds 0, or past the double range, so every value is
-the exact polynomial's correctly rounded.
+PDF segment, the PDF takes its series from the CDF's, which the CDF keeps
+until both models of the segment exist, by the Chebyshev derivative
+recurrence in O(d) (Mason & Handscomb, *Chebyshev Polynomials*, ch. 2): the
+same rationals, so the same chop and tail, whichever model is built first.
+A hand-built ``PiecewisePolynomial`` converts its own segments.  Each node
+value comes from one fixed-point Horner pass with a certified error bound,
+kept when both ends of the bound round to the same double (Ziv, ACM TOMS 17,
+1991), and from exact Horner on integers when they do not, when the bound
+holds 0, or past the double range: the exact value correctly rounded.
 
 A warm evaluation pays for little beyond that formula.  ``eval``, which
 bisection calls, stays on Python floats up to the model's one-row product.
@@ -107,10 +107,9 @@ __all__ = [
 
 # absolute budget on the exact Chebyshev tail sum_{k>=n} |c_k| a segment may drop
 _CHOP_BUDGET = Fraction(2.5e-14)
-# fixed-point node values: bits past the error bound and a double's 53, and
-# how many times a node doubles its fraction bits before exact Horner decides
+# fixed-point node values: bits past the error bound and a double's 53; exact
+# Horner decides the nodes the one pass leaves open
 _GUARD_BITS = 64
-_FIXED_POINT_DOUBLINGS = 2
 # points per barycentric block: a block's point-by-node matrix stays in cache
 _EVAL_CHUNK = 4096
 _QUANTILE_XTOL = 1e-12
@@ -164,10 +163,12 @@ class PiecewisePolynomial:
         self._edge_array = None  # _edges as an array, made on the first eval_many
         self._outside = (float(self.outside_low), float(self.outside_high))
         self._models: dict[int, _ChebModel] = {}
-        # each converted segment's exact Chebyshev series, kept for a linked derivative
+        # each converted segment's exact Chebyshev series, kept for a linked
+        # derivative until both models of the segment exist
         self._series: dict[int, tuple[list[int], int]] = {}
-        # set by SleDistribution once these segments are checked to be its derivatives
+        # set by SleDistribution once the PDF's segments are checked to be the CDF's derivatives
         self._antiderivative: PiecewisePolynomial | None = None
+        self._derivative: PiecewisePolynomial | None = None
 
     @property
     def lower(self) -> Fraction:
@@ -230,15 +231,16 @@ class PiecewisePolynomial:
     def _segment_series(self, t: int) -> tuple[list[int], int]:
         """Segment t's exact Chebyshev series, derived from the antiderivative's when linked.
 
-        A converted series is kept, so each segment's O(d^2) conversion runs
-        once for a PDF and CDF, whichever model is built first.
+        With a linked derivative, a converted series is kept until
+        :meth:`_model` has built both models of the segment, so its O(d^2)
+        conversion runs once, whichever model is built first.
         """
         lo, hi = self.breakpoints[t], self.breakpoints[t + 1]
         if self._antiderivative is not None:
             return _derivative_series(self._antiderivative._segment_series(t), lo, hi)
-        series = self._series.get(t)
-        if series is None:
-            series = self._series[t] = _chebyshev_series(self.segments[t], lo, hi)
+        series = self._series.get(t) or _chebyshev_series(self.segments[t], lo, hi)
+        if self._derivative is not None:
+            self._series[t] = series
         return series
 
     def _model(self, t: int) -> _ChebModel:
@@ -257,6 +259,11 @@ class PiecewisePolynomial:
                     "takes values beyond the double range"
                 ) from None
             self._models[t] = model
+            # once both models of t exist, the CDF's kept series has served them
+            cdf = self._antiderivative or self
+            pdf = cdf._derivative
+            if pdf is not None and t in pdf._models and t in cdf._models:
+                cdf._series.pop(t, None)
         return model
 
     def eval_many(self, xs: Iterable[float], backend: object = None) -> np.ndarray:
@@ -513,8 +520,6 @@ def _derivative_series(
     """
     C, den = series
     d = len(C) - 1
-    if d == 0:
-        return [0], 1
     Q = math.lcm(lo.denominator, hi.denominator)
     H = int(Q * (hi - lo))
     e = [0] * (d + 2)
@@ -531,16 +536,17 @@ def _chebyshev_model(
 
     ``series`` is :func:`_chebyshev_series` of ``seg``, or, for a PDF
     segment, :func:`_derivative_series` of the CDF segment's series, which
-    the CDF keeps: one O(d^2) conversion serves both models.  The two are
-    the same rationals.  The model keeps the fewest n >= 1 terms of
-    seg = sum_j c_j T_j(u) / den whose dropped tail sum_(k>=n) |c_k| / den
-    is under ``_CHOP_BUDGET``, an exact comparison, and stores seg at the
-    n + 1 Chebyshev-Lobatto points.  Each value is certified fixed-point
-    Horner's where both ends of its error bound round to one double, and
-    exact Horner's otherwise (:func:`_node_values`): either way the exact
-    value correctly rounded, so F(K) = 1 reads exactly 1.0.  The points are
-    rounded by the same operations, in the same order, as numpy's
-    elementwise formula.  A value past the double range raises OverflowError.
+    the CDF keeps until both models exist: one O(d^2) conversion serves
+    both, and the two are the same rationals.  The model keeps the fewest
+    n >= 1 terms of seg = sum_j c_j T_j(u) / den whose dropped tail
+    sum_(k>=n) |c_k| / den is under ``_CHOP_BUDGET``, an exact comparison,
+    and stores seg at the n + 1 Chebyshev-Lobatto points.  Each value is
+    certified fixed-point Horner's where both ends of its error bound round
+    to one double, and exact Horner's otherwise (:func:`_node_values`):
+    either way the exact value correctly rounded, so F(K) = 1 reads exactly
+    1.0.  The points are rounded by the same operations, in the same order,
+    as numpy's elementwise formula.  A value past the double range raises
+    OverflowError.
     """
     c, den = series
     limit = _CHOP_BUDGET.numerator * den
@@ -566,51 +572,39 @@ def _chebyshev_model(
 def _node_values(A: Sequence[int], D: int, nodes: list[float]) -> list[float]:
     """sum_k A_k x^k / D at each node x, correctly rounded, for integers A and D > 0.
 
-    Each node x = num/2^s first takes fixed-point Horner with F fractional
-    bits: a_k = floor(A_k*2^F/D), made once per F, and
+    Each node x = num/2^s takes one fixed-point Horner pass with F fractional
+    bits: a_k = floor(A_k*2^F/D), made once per call, and
     acc <- floor(acc*num/2^s) + a_k.  Each of the 2d + 1 floors moves acc by
     less than one unit of 2^-F, scaled by at most max(1, |x|)^d on its way
     out, so 2^F times the exact value lies within E = 2(d+1)*max(1, |x|)^d
     (:func:`_horner_bound`) of acc, for either sign of x.  Rounding to
     nearest is monotone, so when the correctly rounded ``int / int`` ends
     (acc - E)/2^F and (acc + E)/2^F agree, that double is the exact value's
-    (Ziv, ACM TOMS 17, 1991).  Otherwise F doubles, up to
-    ``_FIXED_POINT_DOUBLINGS`` times.  The first F puts ``_GUARD_BITS`` past
-    a double's 53 bits and the largest of the segment's bounds, so few
-    nodes retry.  An interval that holds 0, a value the doublings leave
-    undecided, and an end past the double range go to :func:`_exact_value`,
-    so only exact Horner returns a zero, whose sign it knows, or raises
-    OverflowError.  The SLE density is 0 at x = 1 and x = K; those nodes
-    are integers, where exact Horner is cheap.
+    (Ziv, ACM TOMS 17, 1991).  F puts ``_GUARD_BITS`` past a double's 53
+    bits and the largest of the segment's bounds.  An interval that holds 0,
+    ends that round apart and an end past the double range go to
+    :func:`_exact_value`, so only exact Horner returns a zero, whose sign it
+    knows, or raises OverflowError.  The SLE density is 0 at x = 1 and
+    x = K; those nodes are integers, where exact Horner is cheap.
     """
     d = len(A) - 1
     bounds = [_horner_bound(d, x) for x in nodes]
-    first = max(bounds).bit_length() + 53 + _GUARD_BITS
-    scaled: dict[int, list[int]] = {}  # F -> a_d, ..., a_0, made when a node first needs F
+    F = max(bounds).bit_length() + 53 + _GUARD_BITS
+    a = [(c << F) // D for c in reversed(A)]
+    unit = 1 << F
     values = []
     for x, E in zip(nodes, bounds):
         num, den = x.as_integer_ratio()
         s = den.bit_length() - 1
-        value, F = None, first
-        for _ in range(_FIXED_POINT_DOUBLINGS + 1):
-            a = scaled.get(F)
-            if a is None:
-                a = scaled[F] = [(c << F) // D for c in reversed(A)]
-            acc = 0
-            for c in a:
-                acc = (acc * num >> s) + c
-            if acc - E <= 0 <= acc + E:
-                break
-            unit = 1 << F
-            try:
-                low, high = (acc - E) / unit, (acc + E) / unit
-            except OverflowError:
-                break
-            if low == high:
-                value = low
-                break
-            F *= 2
-        values.append(_exact_value(A, D, x) if value is None else value)
+        acc = 0
+        for c in a:
+            acc = (acc * num >> s) + c
+        try:
+            low = (acc - E) / unit
+            kept = abs(acc) > E and low == (acc + E) / unit
+        except OverflowError:
+            kept = False
+        values.append(low if kept else _exact_value(A, D, x))
     return values
 
 
@@ -760,6 +754,7 @@ class SleDistribution(Frozen):
                 raise ConsistencyError(f"CDF derivative differs from PDF on segment {t}")
         # the check just made is what lets the PDF's float models use the CDF's series
         self.pdf._antiderivative = self.cdf
+        self.cdf._derivative = self.pdf
         levels = [0.0]
         for t in range(len(self.cdf.segments) - 1):
             b = self.cdf.breakpoints[t + 1]

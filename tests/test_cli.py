@@ -4,6 +4,7 @@ import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,18 @@ def test_repeat_invocations_byte_identical():
     a = subprocess.run(cmd, capture_output=True, check=True)
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout and len(a.stdout) > 0
+
+
+def test_cli_digests_agree_between_runs():
+    # the byte-identity check compares two checkouts' digests; two runs of one agree
+    script = Path(__file__).resolve().parents[1] / "bench" / "cli_digests.py"
+    cmd = [sys.executable, str(script), "--shape", "2,10"]
+    runs = [subprocess.Popen(cmd, stdout=subprocess.PIPE) for _ in range(2)]
+    (a, _), (b, _) = (run.communicate() for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    lines = a.decode().splitlines()
+    assert a == b and len(lines) == 9
+    assert lines[0].endswith(" cdf --K 2 --N 10") and len(lines[0].split()[0]) == 64
 
 
 def test_cdf_run_imports_neither_numpy_ma_nor_concurrent_futures():

@@ -7,6 +7,7 @@ import pickle
 import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -424,15 +425,26 @@ def _exact_float(A, D, x):
 dyadics = st.builds(lambda m, e: m / 2**e, st.integers(-(40 << 20), 40 << 20), st.integers(0, 20))
 
 
-@given(
+node_value_cases = given(
     st.lists(st.integers(-(2**120), 2**120), min_size=1, max_size=24),
     st.integers(1, 2**80),
     st.lists(st.one_of(dyadics, st.floats(-40.0, 40.0)), min_size=1, max_size=8),
 )
+
+
+@node_value_cases
 @settings(max_examples=200, deadline=None)
 def test_fixed_point_values_are_the_exact_values_rounded(A, D, xs):
     # any sign of coefficient and of x, x = 0, |x| < 1, subnormal x, up to 40
     assert distributions._node_values(A, D, xs) == [_exact_float(A, D, x) for x in xs]
+
+
+@node_value_cases
+@settings(max_examples=200, deadline=None)
+def test_exact_horner_settles_what_few_fraction_bits_leave_open(A, D, xs):
+    # F only 13 bits past the bound: exact Horner decides about two nodes in three
+    with mock.patch.object(distributions, "_GUARD_BITS", -40):
+        assert distributions._node_values(A, D, xs) == [_exact_float(A, D, x) for x in xs]
 
 
 def test_rounding_midpoint_goes_to_exact_horner():
@@ -442,6 +454,14 @@ def test_rounding_midpoint_goes_to_exact_horner():
     midpoint = 1 + F(3, 2**53)
     A, D = Polynomial([midpoint - F(1, 4), F(1, 3)]).integer_form()
     assert distributions._node_values(A, D, [0.75]) == [1 + 2.0**-51]
+
+
+def test_interval_holding_0_goes_to_exact_horner_below_the_double_range():
+    # x = 2 puts F past 1200 bits, so at x = 0 the ends of acc -+ E both round
+    # to a zero, -0.0 and +0.0; exact Horner gives the exact 0 its sign
+    A, D = [0] * 1100 + [1], 2**1100
+    values = distributions._node_values(A, D, [0.0, 2.0])
+    assert values == [0.0, 1.0] and math.copysign(1.0, values[0]) == 1.0
 
 
 def _recording_fallbacks(monkeypatch):
@@ -470,8 +490,8 @@ def test_zero_density_nodes_take_the_exact_fallback(monkeypatch, K, N):
     assert len(fallbacks) < sum(len(m.nodes) for m in models) / 3
 
 
-def test_too_few_fraction_bits_retry_then_fall_back(monkeypatch):
-    # a first F below the error bound forces doublings and exact fallbacks
+def test_too_few_fraction_bits_fall_back_to_exact_horner(monkeypatch):
+    # an F below the error bound leaves nodes open, and exact Horner decides them
     monkeypatch.setattr(distributions, "_GUARD_BITS", -60)
     fallbacks = _recording_fallbacks(monkeypatch)
     d = sle_distribution(cached_table(4, 40))
@@ -609,18 +629,24 @@ def test_models_match_reference_whichever_is_built_first(monkeypatch, K, N, pdf_
     # a fresh distribution: one conversion per segment, of the CDF's segment
     converted = _counting_conversions(monkeypatch)
     d = sle_distribution(cached_table(K, N))
-    for pw in (d.pdf, d.cdf) if pdf_first else (d.cdf, d.pdf):
-        _assert_models_match_reference(pw)
+    first, second = (d.pdf, d.cdf) if pdf_first else (d.cdf, d.pdf)
+    _assert_models_match_reference(first)
+    # the CDF keeps each series for the other model, and drops it once that is built
+    assert sorted(d.cdf._series) == list(range(len(d.cdf.segments)))
+    _assert_models_match_reference(second)
     assert converted == list(d.cdf.segments)
+    assert d.cdf._series == {}
 
 
 def test_hand_built_density_converts_its_own_segments(monkeypatch):
-    # no distribution links it to an antiderivative, so it takes the direct conversion
+    # no distribution links it to an antiderivative, so it takes the direct
+    # conversion, and no derivative, so it keeps no series
     converted = _counting_conversions(monkeypatch)
     d = cached_dist(4, 10)
     pdf = PiecewisePolynomial(d.pdf.breakpoints, d.pdf.segments)
     _assert_models_match_reference(pdf)
     assert converted == list(pdf.segments)
+    assert pdf._series == {}
 
 
 @pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
