@@ -24,15 +24,15 @@ points (Higham, IMA J. Numer. Anal. 24, 2004).
 
 A distribution's PDF and CDF share one conversion per segment.  Once
 ``SleDistribution`` has checked that each CDF segment differentiates to the
-PDF segment, the PDF takes its series from the CDF's, which the CDF keeps
-until both models of the segment exist, by the Chebyshev derivative
-recurrence in O(d) (Mason & Handscomb, *Chebyshev Polynomials*, ch. 2): the
-same rationals, so the same chop and tail, whichever model is built first.
-A hand-built ``PiecewisePolynomial`` converts its own segments.  Each node
-value comes from one fixed-point Horner pass with a certified error bound,
-kept when both ends of the bound round to the same double (Ziv, ACM TOMS 17,
-1991), and from exact Horner on integers when they do not, when the bound
-holds 0, or past the double range: the exact value correctly rounded.
+PDF segment, the PDF takes its series from the CDF's, which the CDF keeps, by
+the Chebyshev derivative recurrence in O(d) (Mason & Handscomb, *Chebyshev
+Polynomials*, ch. 2): the same rationals, so the same chop and tail,
+whichever model is built first.  A hand-built ``PiecewisePolynomial`` converts
+its own segments.  Each node value comes from one fixed-point Horner pass
+with a certified error bound, kept when both ends of the bound round to the
+same double (Ziv, ACM TOMS 17, 1991), and from exact Horner on integers when
+they do not, when the bound holds 0, or past the double range: the exact
+value correctly rounded.
 
 A warm evaluation pays for little beyond that formula.  ``eval``, which
 bisection calls, stays on Python floats up to the model's one-row product.
@@ -163,12 +163,10 @@ class PiecewisePolynomial:
         self._edge_array = None  # _edges as an array, made on the first eval_many
         self._outside = (float(self.outside_low), float(self.outside_high))
         self._models: dict[int, _ChebModel] = {}
-        # each converted segment's exact Chebyshev series, kept for a linked
-        # derivative until both models of the segment exist
+        # each converted segment's exact Chebyshev series, kept for a linked derivative
         self._series: dict[int, tuple[list[int], int]] = {}
-        # set by SleDistribution once the PDF's segments are checked to be the CDF's derivatives
+        # set by SleDistribution once these segments are checked to be its derivatives
         self._antiderivative: PiecewisePolynomial | None = None
-        self._derivative: PiecewisePolynomial | None = None
 
     @property
     def lower(self) -> Fraction:
@@ -231,16 +229,15 @@ class PiecewisePolynomial:
     def _segment_series(self, t: int) -> tuple[list[int], int]:
         """Segment t's exact Chebyshev series, derived from the antiderivative's when linked.
 
-        With a linked derivative, a converted series is kept until
-        :meth:`_model` has built both models of the segment, so its O(d^2)
-        conversion runs once, whichever model is built first.
+        A converted series is kept, so each segment's O(d^2) conversion runs
+        once for a PDF and CDF, whichever model is built first.
         """
         lo, hi = self.breakpoints[t], self.breakpoints[t + 1]
         if self._antiderivative is not None:
             return _derivative_series(self._antiderivative._segment_series(t), lo, hi)
-        series = self._series.get(t) or _chebyshev_series(self.segments[t], lo, hi)
-        if self._derivative is not None:
-            self._series[t] = series
+        series = self._series.get(t)
+        if series is None:
+            series = self._series[t] = _chebyshev_series(self.segments[t], lo, hi)
         return series
 
     def _model(self, t: int) -> _ChebModel:
@@ -259,11 +256,6 @@ class PiecewisePolynomial:
                     "takes values beyond the double range"
                 ) from None
             self._models[t] = model
-            # once both models of t exist, the CDF's kept series has served them
-            cdf = self._antiderivative or self
-            pdf = cdf._derivative
-            if pdf is not None and t in pdf._models and t in cdf._models:
-                cdf._series.pop(t, None)
         return model
 
     def eval_many(self, xs: Iterable[float], backend: object = None) -> np.ndarray:
@@ -536,17 +528,16 @@ def _chebyshev_model(
 
     ``series`` is :func:`_chebyshev_series` of ``seg``, or, for a PDF
     segment, :func:`_derivative_series` of the CDF segment's series, which
-    the CDF keeps until both models exist: one O(d^2) conversion serves
-    both, and the two are the same rationals.  The model keeps the fewest
-    n >= 1 terms of seg = sum_j c_j T_j(u) / den whose dropped tail
-    sum_(k>=n) |c_k| / den is under ``_CHOP_BUDGET``, an exact comparison,
-    and stores seg at the n + 1 Chebyshev-Lobatto points.  Each value is
-    certified fixed-point Horner's where both ends of its error bound round
-    to one double, and exact Horner's otherwise (:func:`_node_values`):
-    either way the exact value correctly rounded, so F(K) = 1 reads exactly
-    1.0.  The points are rounded by the same operations, in the same order,
-    as numpy's elementwise formula.  A value past the double range raises
-    OverflowError.
+    the CDF keeps: one O(d^2) conversion serves both models.  The two are
+    the same rationals.  The model keeps the fewest n >= 1 terms of
+    seg = sum_j c_j T_j(u) / den whose dropped tail sum_(k>=n) |c_k| / den
+    is under ``_CHOP_BUDGET``, an exact comparison, and stores seg at the
+    n + 1 Chebyshev-Lobatto points.  Each value is certified fixed-point
+    Horner's where both ends of its error bound round to one double, and
+    exact Horner's otherwise (:func:`_node_values`): either way the exact
+    value correctly rounded, so F(K) = 1 reads exactly 1.0.  The points are
+    rounded by the same operations, in the same order, as numpy's
+    elementwise formula.  A value past the double range raises OverflowError.
     """
     c, den = series
     limit = _CHOP_BUDGET.numerator * den
@@ -754,7 +745,6 @@ class SleDistribution(Frozen):
                 raise ConsistencyError(f"CDF derivative differs from PDF on segment {t}")
         # the check just made is what lets the PDF's float models use the CDF's series
         self.pdf._antiderivative = self.cdf
-        self.cdf._derivative = self.pdf
         levels = [0.0]
         for t in range(len(self.cdf.segments) - 1):
             b = self.cdf.breakpoints[t + 1]

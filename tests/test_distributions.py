@@ -629,24 +629,18 @@ def test_models_match_reference_whichever_is_built_first(monkeypatch, K, N, pdf_
     # a fresh distribution: one conversion per segment, of the CDF's segment
     converted = _counting_conversions(monkeypatch)
     d = sle_distribution(cached_table(K, N))
-    first, second = (d.pdf, d.cdf) if pdf_first else (d.cdf, d.pdf)
-    _assert_models_match_reference(first)
-    # the CDF keeps each series for the other model, and drops it once that is built
-    assert sorted(d.cdf._series) == list(range(len(d.cdf.segments)))
-    _assert_models_match_reference(second)
+    for pw in (d.pdf, d.cdf) if pdf_first else (d.cdf, d.pdf):
+        _assert_models_match_reference(pw)
     assert converted == list(d.cdf.segments)
-    assert d.cdf._series == {}
 
 
 def test_hand_built_density_converts_its_own_segments(monkeypatch):
-    # no distribution links it to an antiderivative, so it takes the direct
-    # conversion, and no derivative, so it keeps no series
+    # no distribution links it to an antiderivative, so it takes the direct conversion
     converted = _counting_conversions(monkeypatch)
     d = cached_dist(4, 10)
     pdf = PiecewisePolynomial(d.pdf.breakpoints, d.pdf.segments)
     _assert_models_match_reference(pdf)
     assert converted == list(pdf.segments)
-    assert pdf._series == {}
 
 
 @pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
