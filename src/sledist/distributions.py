@@ -36,37 +36,48 @@ value correctly rounded.
 
 A warm evaluation pays for little beyond that formula.  ``eval``, which
 bisection calls, stays on Python floats up to the model's one-row product.
-``eval_many`` groups a batch by segment with one radix sort of 16-bit
-segment codes, and each model forms its point-by-node differences x - x_k as
-one product of (x, 1) rows with ``[1; -nodes]``: both products are exact, so
-BLAS rounds each entry once, to the bits of the subtraction, in place of a
-broadcast loop as short as the node count.  The tests hold both paths, bit
-for bit, to a reference dispatch that selects each segment's points by a mask
-and subtracts.
+``eval_many`` groups a batch by segment with one radix sort of the segment
+codes, 8-bit up to 254 segments, and each model forms its point-by-node
+differences x - x_k as one product of (x, 1) rows with ``[1; -nodes]``: both
+products are exact, so BLAS rounds each entry once, to the bits of the
+subtraction, in place of a broadcast loop as short as the node count.  The
+sums overwrite those rows,
+so one division serves the whole batch, and the passes for points off the
+span, NaN and node hits run only when a point needs them.  The tests hold
+both paths, bit for bit, to a reference dispatch that selects each
+segment's points by a mask and subtracts.
 
-``quantile`` bisects the float CDF, but the exact CDF levels at the
-breakpoints, which construction computes for its checks, decide every step
-they can.  Once per call it takes the last breakpoint whose level lies more
-than 1e-9 below p and the first whose level lies more than 1e-9 above it.  A
-midpoint at or below the first kind has F(mid) < p - 1e-9, so the float CDF,
-certified within 1e-13, reads below p there and the step sets ``lo``; at or
-above the second kind it sets ``hi``.  The margin is 1e4 times the certified
-error, and covers the rounding of the levels and breakpoints to floats.  Only
-midpoints between the two evaluate, so the steps, and the answer, are those
-of plain bisection, and a cold call builds the float model of the answer's
-segment alone, unless p lies within the margin of a level.
+``quantile`` bisects the float CDF, but exact levels decide every step they
+can.  Once per call it takes the last breakpoint whose exact CDF level,
+computed by construction for its checks, lies more than 1e-9 below p and the
+first whose level lies more than 1e-9 above it.  A midpoint at or below the
+first kind has F(mid) < p - 1e-9, so the float CDF, certified within 1e-13,
+reads below p there and the step sets ``lo``; at or above the second kind it
+sets ``hi``.  The margin is 1e4 times the certified error, and covers the
+rounding of the levels and breakpoints to floats.  When p lies inside one
+segment, the values of its model's nodes, each the exact F(x_k) rounded
+once, decide midpoints by the same rule, and a few probes narrow the node
+gap that is left: secant steps on the model, each deciding the midpoints on
+its side when its value lies more than 2.5e-13, twice the certified error
+and some room, from p (``_ChebModel.narrow``).  Only midpoints between the
+two ends evaluate, so the steps, and the answer, are those of plain
+bisection.  A warm threshold takes about 13 evaluations in place of 41, and
+a cold call builds the float model of the answer's segment alone, unless p
+lies within the margin of a breakpoint level.
 
 A step that evaluates asks only whether ``eval(mid) < p``.  Until numpy is
 loaded, the segment's model answers on Python floats: it sums the
 barycentric terms with ``math.fsum`` and bounds how far any BLAS summation
-order could round from that sum (``_ChebModel.reads_below``).  An interval
+order could round from that sum (``_ChebModel.interval``).  An interval
 wholly below p, or wholly at or above it, decides the step as the one-row
 product would; otherwise the step runs that product, as ``eval`` does,
-which loads numpy.  Once numpy is loaded, every step runs the product, the
-cheaper of the two, so warm bisection costs what it did.  Either way the
-answer is bit for bit that of bisection on ``eval``.  A step stays undecided when F(mid) lies within the
-bound of p, which happens mostly at small alpha, where the density is small
-and the last steps move F by little more than the bound.
+which loads numpy.  A probe before numpy is loaded reads the same interval
+and never runs the product, so a cold call loads numpy only where plain
+bisection would.  Once numpy is loaded, every step and probe runs the
+product, the cheaper of the two.  Either way the answer is bit for bit that
+of bisection on ``eval``.  A step stays undecided when F(mid) lies within
+the bound of p, which happens mostly at small alpha, where the density is
+small and the last steps move F by little more than the bound.
 
 Models are built on Python floats, and numpy loads on the first operation
 that needs an array: ``eval``, a bisection step the bound leaves undecided,
@@ -83,7 +94,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 from typing import IO, Iterable, Sequence
 
@@ -116,6 +126,13 @@ _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
 # exact breakpoint levels this far from p decide bisection steps: 1e4 times the certified 1e-13
 _LEVEL_MARGIN = 1e-9
+# a probe this far from p decides bisection steps: the model lies within the
+# certified 1e-13 of F at the probe and at the midpoint, which leaves 5e-14 of
+# room for the rounding of p -+ margin; and offset probes aim this many margins
+# to either side of the root
+_PROBE_MARGIN = 2.5e-13
+_PROBE_OFFSET = 1.5
+_PROBES = 8  # secant and regula falsi probes per quantile, at most
 
 np = None  # numpy, once an array operation has called _load_numpy
 
@@ -161,6 +178,7 @@ class PiecewisePolynomial:
         self._edges = [float(b) for b in bps]
         self._edges[-1] = math.nextafter(self._edges[-1], math.inf)
         self._edge_array = None  # _edges as an array, made on the first eval_many
+        self._codes = None  # the segment codes 1..len(segs) + 1, made with it
         self._outside = (float(self.outside_low), float(self.outside_high))
         self._models: dict[int, _ChebModel] = {}
         # each converted segment's exact Chebyshev series, kept for a linked derivative
@@ -262,45 +280,59 @@ class PiecewisePolynomial:
         """Vectorized float evaluation; off the span the outside values, NaN rejected.
 
         The points are grouped by segment with one stable sort of their
-        ``uint16`` segment codes, which numpy runs as a radix sort, and each
-        segment's model evaluates its points in their original order, in
-        blocks of ``_EVAL_CHUNK``, from one (x, 1) row per point (see
-        :meth:`_ChebModel.__call__`).  NaN sorts past every edge, so only the
-        group above the span is checked for it.  A one-point batch goes
-        through :meth:`eval`.  ``backend`` is ignored: evaluation has a single
-        numpy path.  The slot stays because the benchmark's tracing wrapper
-        passes it positionally.
+        unsigned integer segment codes, which numpy runs as a radix sort, and one
+        search of the sorted codes finds where each group starts.  Each
+        segment's model overwrites its points' (x, 1) rows, in their original
+        order and in blocks of ``_EVAL_CHUNK``, with the two barycentric sums
+        (see :meth:`_ChebModel.__call__`), and one division over the batch
+        takes the quotients.  A point off the span gets the row (value, 1)
+        instead.  NaN sorts past every edge, so only the group above the span
+        is checked for it, and only a batch whose values hold a NaN looks for
+        the node hits that read NaN.  A one-point batch goes through
+        :meth:`eval`.  ``backend`` is ignored: evaluation has a single numpy
+        path.  The slot stays because the benchmark's tracing wrapper passes
+        it positionally.
         """
         _load_numpy()
         arr = np.asarray(xs, dtype=np.float64)
-        if arr.size == 1:
+        n = arr.size
+        if n == 1:
             return np.full(arr.shape, self.eval(arr.item()))
         flat = arr.ravel()
         if self._edge_array is None:
             self._edge_array = np.array(self._edges)
-        # K*N <= MAX_KN with N >= K keeps K <= 44, so the codes fit 16 bits
-        codes = np.searchsorted(self._edge_array, flat, side="right").astype(np.uint16)
-        order = np.argsort(codes, kind="stable")
-        counts = np.bincount(codes, minlength=len(self.segments) + 2).tolist()
-        bounds = list(accumulate(counts, initial=0))
-        pairs = np.empty((flat.size, 2))
+            # the narrowest type for the codes: 8 bits up to 254 segments, which
+            # the stable sort handles in one radix pass
+            top = len(self.segments) + 1
+            self._codes = np.arange(1, top + 1, dtype=np.min_scalar_type(top))
+        codes = self._edge_array.searchsorted(flat, side="right").astype(self._codes.dtype)
+        order = codes.argsort(kind="stable")
+        # segment t's points are starts[t]:starts[t + 1] in sorted order; the points
+        # below the span come first, those above it (NaN too) from starts[-1]
+        starts = codes[order].searchsorted(self._codes).tolist()
+        pairs = np.empty((n, 2))
         pairs[:, 0] = flat[order]
         pairs[:, 1] = 1.0
-        above = bounds[-2]
-        if above < flat.size and np.isnan(pairs[above:, 0]).any():
-            raise ValueError("cannot evaluate at NaN")
-        vals = np.empty(flat.shape)
-        vals[: bounds[1]] = self._outside[0]
-        vals[above:] = self._outside[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for t, (a, b) in enumerate(zip(bounds[1:-2], bounds[2:-1])):
+        low, high = starts[0], starts[-1]
+        if high < n:
+            if np.isnan(pairs[high:, 0]).any():
+                raise ValueError("cannot evaluate at NaN")
+            pairs[high:, 0] = self._outside[1]
+        if low:
+            pairs[:low, 0] = self._outside[0]
+        # each row becomes a numerator and a denominator: (v, 1) off the span
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t, (a, b) in enumerate(zip(starts, starts[1:])):
                 if a < b:
-                    self._model(t)(pairs[a:b], vals[a:b])
-        # a point on a node reads NaN; its value is the node's, which eval returns
-        for i in np.flatnonzero(np.isnan(vals)).tolist():
-            vals[i] = self.eval(pairs[i, 0])
-        out = np.empty(flat.shape)
-        out[order] = vals
+                    self._model(t)(pairs[a:b])
+            out = np.empty(n)
+            out[order] = pairs[:, 0] / pairs[:, 1]
+            # a point on a node reads NaN, and so does this sum of squares, which
+            # may overflow to inf otherwise; the value there is the node's
+            nodes_hit = math.isnan(out.dot(out))
+        if nodes_hit:
+            for i in np.flatnonzero(np.isnan(out)).tolist():
+                out[i] = self.eval(flat[i])
         return out.reshape(arr.shape)
 
     def eval(self, x: float) -> float:
@@ -324,14 +356,15 @@ class PiecewisePolynomial:
         """``eval(x) < p`` for x on the span, the question a bisection step asks.
 
         Until numpy is loaded, the model's rounding bound decides the step
-        where it can (:meth:`_ChebModel.reads_below`); an undecided step, and
-        every step once numpy is loaded, compares :meth:`_ChebModel.at`.
+        when p lies outside it (:meth:`_ChebModel.interval`); an undecided
+        step, and every step once numpy is loaded, compares
+        :meth:`_ChebModel.at`.
         """
         model = self._model(bisect_right(self._edges, x) - 1)
         if np is None:
-            below = model.reads_below(x, p)
-            if below is not None:
-                return below
+            bounds = model.interval(x)
+            if bounds is not None and not bounds[0] < p <= bounds[1]:
+                return bounds[1] < p
         return model.at(x) < p
 
 
@@ -346,7 +379,7 @@ class _ChebModel(Frozen):
     on Python floats; the three arrays, and the (2, m) operand
     ``[1, ..., 1; -nodes]`` that :meth:`__call__` forms differences with, are
     made from those lists on first use, which loads numpy, and
-    :meth:`reads_below` needs only the lists.
+    :meth:`interval` needs only the lists.
     """
 
     __slots__ = ("tail", "at_node", "_lists", "_arrays")
@@ -386,13 +419,13 @@ class _ChebModel(Frozen):
         if hit is not None:
             return hit
         nodes, _, weighted, _ = self._numpy()
-        r = x - nodes
-        np.divide(1.0, r, out=r)
-        sums = r[None] @ weighted
-        return float(sums[0, 0] / sums[0, 1])
+        r = np.subtract(x, nodes)
+        np.reciprocal(r, out=r)
+        num, den = r.dot(weighted).tolist()
+        return num / den
 
-    def reads_below(self, x: float, p: float) -> bool | None:
-        """Whether ``at(x) < p``, decided on Python floats; None when they cannot tell.
+    def interval(self, x: float) -> tuple[float, float] | None:
+        """An interval holding ``at(x)``, on Python floats; None when they cannot bound it.
 
         :meth:`at` forms q_k = 1/(x - x_k) exactly as this method does, then
         lets BLAS sum the products q_k*a_k of each column a in some order,
@@ -407,13 +440,13 @@ class _ChebModel(Frozen):
         Gradual underflow adds at most 2^-1075 per product and fused
         multiply-add, inside the m*2^-1072 added to the radius.  Endpoints
         and quotient corners are rounded outward with ``math.nextafter``, and
-        rounding to nearest is monotone, so fl(S0/S1) lies in [lo, hi]: below
-        p if hi < p, at or above it if lo >= p.  A denominator interval
-        holding 0, or a non-finite endpoint, leaves the step undecided.
+        rounding to nearest is monotone, so fl(S0/S1) lies in the interval.
+        A denominator interval holding 0, or a non-finite endpoint, gives
+        None.  On a node the interval is the node's value alone.
         """
         hit = self.at_node.get(x)
         if hit is not None:
-            return hit < p
+            return hit, hit
         nodes, _, columns = self._lists
         m = len(nodes)
         rel, floor = (m + 3) * 2.0**-53, m * 2.0**-1072
@@ -432,36 +465,104 @@ class _ChebModel(Frozen):
         if not all(map(math.isfinite, bounds)) or d_lo <= 0.0 <= d_hi:
             return None
         corners = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
-        if math.nextafter(max(corners), math.inf) < p:
-            return True
-        if math.nextafter(min(corners), -math.inf) >= p:
-            return False
-        return None
+        return math.nextafter(min(corners), -math.inf), math.nextafter(max(corners), math.inf)
 
-    def __call__(self, pairs: np.ndarray, out: np.ndarray) -> None:
-        """Second-form barycentric formula at the points ``pairs[:, 0]``, into ``out``.
+    def narrow(self, p: float, below: float, above: float) -> tuple[float, float]:
+        """(below, above) moved in to nodes and probes whose values decide bisection steps.
 
-        ``pairs`` holds one C-ordered row (x, 1) per point.  A block of up to
-        ``_EVAL_CHUNK`` rows forms its point-by-node differences as one
-        product with the (2, m) operand ``[1, ..., 1; -nodes]``: entry (i, k)
-        is x_i*1 + 1*(-x_k).  Both products are exact, and BLAS runs with
-        beta = 0, so whatever order, kernel or fused multiply-add it picks,
-        the entry is one rounding of x_i - x_k: bit for bit the subtraction
-        ``x_i - nodes``, +0.0 where x_i == x_k as there, at BLAS speed rather
-        than in a broadcast loop m long.  The reciprocals, the product with
-        ``weighted`` and the quotient take the (b, m) result in the layout
-        the subtraction gives, so every value has the bits of the
-        subtraction form.  A point on a node divides by zero and reads NaN
-        (inf/inf); ``eval_many`` calls this inside one
-        ``np.errstate(divide="ignore", invalid="ignore")`` per batch and puts
-        the node's value there.
+        For a CDF segment that holds the quantile of p.  A node value is the
+        exact F(x_k) rounded once, so the last node whose value lies more than
+        ``_LEVEL_MARGIN`` below p, and the first more than that above it,
+        decide the midpoints beyond them as the breakpoint levels do
+        (``quantile``); ``bisect`` finds both in the value list.  Between
+        those two nodes, secant probes through the two latest points, or
+        regula falsi on the bracket where a secant step would leave it
+        (Brent, *Algorithms for Minimization without Derivatives*, ch. 4),
+        seek p; once a probe reads within ``_PROBE_MARGIN`` of p, two more
+        straddle the secant root at ``_PROBE_OFFSET`` margins.  A probe whose
+        value lies more than the margin below p becomes ``below``, more than
+        it above p ``above``.  A warm probe reads :meth:`at`; before numpy
+        is loaded it reads :meth:`interval` and decides only when the whole
+        interval lies beyond the margin, so it never loads numpy.
+        """
+        nodes, values, _ = self._lists
+        k = bisect_left(values, p - _LEVEL_MARGIN)
+        n = bisect_right(values, p + _LEVEL_MARGIN)
+        if k:
+            below = max(below, nodes[k - 1])
+        if n < len(nodes):
+            above = min(above, nodes[n])
+        if not k or n == len(nodes):
+            return below, above
+        # the bracket (a, b), and the two latest points (x0, f0), (x1, f1) of f = value - p
+        a, fa, b, fb = nodes[k - 1], values[k - 1] - p, nodes[n], values[n] - p
+        x0, f0, x1, f1 = a, fa, b, fb
+        for _ in range(_PROBES):
+            slope = (f1 - f0) / (x1 - x0)
+            if not slope > 0.0:
+                return a, b
+            x = x1 - f1 / slope
+            if not a < x < b:
+                x = a - fa * (b - a) / (fb - fa)
+            bounds = self._probe(x) if a < x < b else None
+            if bounds is None:
+                return a, b
+            f = 0.5 * (bounds[0] + bounds[1]) - p
+            x0, f0, x1, f1 = x1, f1, x, f
+            if bounds[1] < p - _PROBE_MARGIN:
+                a, fa = x, f
+            elif bounds[0] > p + _PROBE_MARGIN:
+                b, fb = x, f
+            else:
+                break
+        else:
+            return a, b
+        # x reads within the margin of p: two more probes straddle the secant root
+        slope = (f1 - f0) / (x1 - x0)
+        if slope > 0.0:
+            root, step = x1 - f1 / slope, _PROBE_OFFSET * _PROBE_MARGIN / slope
+            for x in (root - step, root + step):
+                bounds = self._probe(x) if a < x < b else None
+                if bounds is not None and bounds[1] < p - _PROBE_MARGIN:
+                    a = x
+                elif bounds is not None and bounds[0] > p + _PROBE_MARGIN:
+                    b = x
+        return a, b
+
+    def _probe(self, x: float) -> tuple[float, float] | None:
+        """``at(x)`` once numpy is loaded, before that :meth:`interval`."""
+        if np is None:
+            return self.interval(x)
+        value = self.at(x)
+        return value, value
+
+    def __call__(self, pairs: np.ndarray) -> None:
+        """Barycentric sums at the points ``pairs[:, 0]``, written over ``pairs``.
+
+        ``pairs`` holds one C-ordered row (x, 1) per point, and each row
+        becomes the numerator and denominator of the second-form barycentric
+        formula, whose quotient ``eval_many`` takes for the whole batch at
+        once.  A block of up to ``_EVAL_CHUNK`` rows forms its point-by-node
+        differences as one product with the (2, m) operand
+        ``[1, ..., 1; -nodes]``: entry (i, k) is x_i*1 + 1*(-x_k).  Both
+        products are exact, and BLAS runs with beta = 0, so whatever order,
+        kernel or fused multiply-add it picks, the entry is one rounding of
+        x_i - x_k: bit for bit the subtraction ``x_i - nodes``, +0.0 where
+        x_i == x_k as there, at BLAS speed rather than in a broadcast loop m
+        long.  The reciprocals and the product with ``weighted`` take the
+        (b, m) result in the layout the subtraction gives, so every value has
+        the bits of the subtraction form.  ``ndarray.dot`` runs the same BLAS
+        calls as ``@`` with less overhead per call.  A point on a node
+        divides by zero and reads NaN (inf/inf); ``eval_many`` calls this
+        inside one ``np.errstate(divide="ignore", invalid="ignore")`` per
+        batch and puts the node's value there.
         """
         _, _, weighted, shift = self._numpy()
         for start in range(0, len(pairs), _EVAL_CHUNK):
-            r = pairs[start : start + _EVAL_CHUNK] @ shift
-            np.divide(1.0, r, out=r)
-            sums = r @ weighted
-            np.divide(sums[:, 0], sums[:, 1], out=out[start : start + _EVAL_CHUNK])
+            block = pairs[start : start + _EVAL_CHUNK]
+            r = block.dot(shift)
+            np.reciprocal(r, out=r)
+            r.dot(weighted, out=block)
 
 
 def _chebyshev_series(seg: Polynomial, lo: Fraction, hi: Fraction) -> tuple[list[int], int]:
@@ -773,10 +874,15 @@ def sle_distribution(table: CoefficientTable) -> SleDistribution:
 def quantile(d: SleDistribution, p: float) -> float:
     """Inverse CDF by bisection to absolute x-tolerance 1e-12.
 
-    A midpoint on the far side of a breakpoint whose exact level is more than
-    ``_LEVEL_MARGIN`` from p is decided without evaluating; before numpy is
-    loaded, the model's rounding bound decides the other steps it can
-    (module docstring).
+    Four things decide a midpoint, in turn: the breakpoint levels, beyond a
+    breakpoint whose exact level lies more than ``_LEVEL_MARGIN`` from p;
+    the node levels of the answer's segment, by the same rule; probes in the
+    node gap left, beyond one whose value lies more than ``_PROBE_MARGIN``
+    from p (:meth:`_ChebModel.narrow`); and evaluation for the midpoints
+    left between.  The first three decide a midpoint only as evaluation
+    would, so the steps, and the answer, are those of plain bisection.
+    Before numpy is loaded, probes and steps read the model's rounding bound
+    where it decides them (module docstring).
     """
     if math.isnan(p) or not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
@@ -791,6 +897,9 @@ def quantile(d: SleDistribution, p: float) -> float:
     j = bisect_right(levels, p + _LEVEL_MARGIN)
     below = xs[i - 1] if i else -math.inf
     above = xs[j] if j < len(xs) else math.inf
+    if i == j:
+        # p lies in segment i - 1, whose node values and probes narrow the bracket
+        below, above = d.cdf._model(i - 1).narrow(p, below, above)
     lo, hi = 1.0, K
     for _ in range(_QUANTILE_MAX_ITER):
         if hi - lo <= _QUANTILE_XTOL:

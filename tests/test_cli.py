@@ -79,7 +79,7 @@ def test_cli_digests_agree_between_runs():
     (a, _), (b, _) = (run.communicate() for run in runs)
     assert [run.returncode for run in runs] == [0, 0]
     lines = a.decode().splitlines()
-    assert a == b and len(lines) == 9
+    assert a == b and len(lines) == 10
     assert lines[0].endswith(" cdf --K 2 --N 10") and len(lines[0].split()[0]) == 64
 
 

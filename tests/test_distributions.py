@@ -370,6 +370,13 @@ def test_float_model_without_overflow_warning():
         assert pp.eval(x) == pytest.approx(exact, abs=1e-13)
 
 
+def test_eval_many_near_the_double_range_without_overflow_warning():
+    # eval_many looks for node hits in the sum of the squared values, which
+    # overflows here; so would any warning under the error::RuntimeWarning filter
+    pp = PiecewisePolynomial([1, 2], [Polynomial([F(10**200)])])
+    assert pp.eval_many([1.0, 1.5, 2.0]).tolist() == [1e200] * 3
+
+
 # the acceptance set plus a long-N shape and two larger K
 DENSE_CONFIGS = EXACT_CONFIGS + [(4, 40), (8, 8), (10, 10)]
 
@@ -657,16 +664,16 @@ def test_rounding_bound_never_contradicts_blas(K, N):
             xs = rng.uniform(lo, hi, 80).tolist() + near + [math.nextafter(x, hi) for x in near]
             for x in xs:
                 value = model.at(x)
+                bounds = model.interval(x)
+                assert bounds is None or bounds[0] <= value <= bounds[1], (t, x)
                 shifts = [0] + rng.integers(-4096, 4097, 4).tolist()
                 ps = [value + k * math.ulp(value) for k in shifts]
                 ps += [rng.uniform(), rng.uniform(0.0, 2.0) * value]
                 for p in ps:
-                    below = model.reads_below(x, p)
-                    if below is None:
+                    if bounds is None or bounds[0] < p <= bounds[1]:
                         undecided += 1
                     else:
                         decided += 1
-                        assert below == (value < p), (t, x, p)
     # both paths ran: the bound decided most steps and left some to BLAS
     assert decided > undecided > 0
 
@@ -772,6 +779,69 @@ def test_quantile_and_threshold_match_bisection_on_the_reference(K, N):
         alpha = 1.0 - p
         if 0 < alpha < 1:
             assert threshold_for_false_alarm(d, alpha) == quantile_reference(d, 1.0 - alpha)
+
+
+@pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
+@pytest.mark.parametrize("cold", [False, True])
+@pytest.mark.parametrize("offset", [distributions._PROBE_OFFSET, 0.5])
+def test_narrowed_bracket_reads_beyond_the_margins(K, N, cold, offset, monkeypatch):
+    # every midpoint at or below `below` reads under p and at or above `above` over it,
+    # because the float CDF there lies more than the probe margin from p; at half a
+    # margin the straddling probes read inside it and must move neither end
+    d = cached_dist(K, N)
+    distributions._load_numpy()
+    monkeypatch.setattr(distributions, "_PROBE_OFFSET", offset)
+    rng = np.random.default_rng(K * N)
+    margin = distributions._PROBE_MARGIN
+    for t in range(len(d.cdf.segments)):
+        model = d.cdf._model(t)
+        xs = rng.uniform(float(d.cdf.breakpoints[t]), float(d.cdf.breakpoints[t + 1]), 50).tolist()
+        ps = [model.at(x) for x in xs]
+        monkeypatch.setattr(distributions, "np", None if cold else np)
+        brackets = [model.narrow(p, -math.inf, math.inf) for p in ps]
+        monkeypatch.setattr(distributions, "np", np)
+        for x, p, (below, above) in zip(xs, ps, brackets):
+            assert below < x < above
+            assert below == -math.inf or model.at(below) < p - margin
+            assert above == math.inf or model.at(above) > p + margin
+
+
+def _near_node_values(d) -> list[float]:
+    """p at every fourth interior node value of each CDF segment, and one and two
+    probe or level margins to either side."""
+    ps = set()
+    for t in range(len(d.cdf.segments)):
+        values = d.cdf._model(t)._lists[1]
+        for v in values[1:-1:4]:
+            for margin in (distributions._PROBE_MARGIN, distributions._LEVEL_MARGIN):
+                for offset in (0.0, margin, 2.0 * margin):
+                    ps.update((v - offset, v + offset))
+    return sorted(p for p in ps if 0.0 < p < 1.0)
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (8, 8)])
+def test_quantile_and_threshold_match_bisection_near_node_values(K, N, monkeypatch):
+    # node values and probes decide midpoints; on a node value, or within a
+    # margin of one, they must decide none that plain bisection sends the other way
+    d = cached_dist(K, N)
+    distributions._load_numpy()
+    cases = []
+    for p in _near_node_values(d):
+        alpha = 1.0 - p
+        threshold = quantile_reference(d, 1.0 - alpha) if 0.0 < alpha < 1.0 else None
+        cases.append((p, quantile_reference(d, p), alpha, threshold))
+    for p, want, alpha, threshold in cases:
+        assert quantile(d, p) == want, p
+        if threshold is not None:
+            assert threshold_for_false_alarm(d, alpha) == threshold, alpha
+    # cold: probes read the rounding bound, and a fresh model per call has no arrays yet
+    cold = sle_distribution(cached_table(K, N))
+    for p, want, alpha, threshold in cases:
+        for call, x, answer in ((quantile, p, want), (threshold_for_false_alarm, alpha, threshold)):
+            if answer is not None:
+                cold.cdf._models.clear()
+                monkeypatch.setattr(distributions, "np", None)
+                assert call(cold, x) == answer, p
 
 
 @pytest.mark.parametrize("K,N,alpha", [(4, 41, 0.01), (4, 53, 0.001), (8, 8, 0.01), (9, 9, 0.1)])

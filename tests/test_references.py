@@ -4,9 +4,10 @@ entry in `perfbench/references/` by the benchmark's own comparison.  A change
 that would lower the benchmark's `ok_frac` fails here first.
 
 Every threshold and quantile request of those pools is also replayed as a
-cold process runs it, with bisection starting on the rounding bound.  The
-warm `pvalue_stream` pool is replayed in process: every pooled point in
-batches of each size the workload sends, and every pooled alpha.
+cold process runs it, with bisection starting on the rounding bound, and the
+requests that load numpy are counted.  The warm `pvalue_stream` pool is
+replayed in process: every pooled point in batches of each size the workload
+sends, and every pooled alpha, whose model evaluations are counted.
 """
 
 import contextlib
@@ -18,10 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sledist import distributions, threshold_for_false_alarm
+from sledist import distributions, quantile, sle_distribution, threshold_for_false_alarm
 from sledist.cli import main
 
-from conftest import cached_dist
+from conftest import cached_dist, cached_table
 from oracles import quantile_reference
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -79,3 +80,37 @@ def test_warm_pool_reproduces_the_pvalue_stream_reference(K, N):
             assert values_close(d.cdf.eval_many(points[batch]), cdf[batch]), (size, start)
     thresholds = [threshold_for_false_alarm(d, alpha) for alpha in ref["alphas"]]
     assert thresholds_close(thresholds, ref["thresholds"], ref["pdf_at_threshold"])
+
+
+@pytest.mark.parametrize("workload, loading", [("exact_long_n", 10), ("exact_large_k", 6)])
+def test_cold_bisection_loads_numpy_in_the_same_requests(workload, loading, monkeypatch):
+    # 10 of the 36 and 6 of the 9 bisection requests load numpy, as they did
+    # before probes narrowed the bracket: a probe never calls the BLAS product
+    load = distributions._load_numpy
+    loaded = []
+    for _, argv in (b for b in BISECTIONS if b[0] == workload):
+        K, N, value = int(argv[2]), int(argv[4]), float(argv[6])
+        d = sle_distribution(cached_table(K, N))
+        calls = []
+        monkeypatch.setattr(distributions, "np", None)
+        monkeypatch.setattr(distributions, "_load_numpy", lambda: calls.append(1) or load())
+        (quantile if argv[0] == "quantile" else threshold_for_false_alarm)(d, value)
+        loaded.append(bool(calls))
+    assert sum(loaded) == loading
+
+
+@pytest.mark.parametrize("K, N", PVALUE_STREAM.shapes)
+def test_warm_thresholds_take_few_model_evaluations(K, N, monkeypatch):
+    # plain bisection takes 41 per threshold; node values and probes leave about 13
+    refs = json.loads((PERFBENCH / "references" / "pvalue_stream.json").read_text())["dists"]
+    alphas = next(r for r in refs if (r["K"], r["N"]) == (K, N))["alphas"]
+    d = cached_dist(K, N)
+    distributions._load_numpy()
+    at = distributions._ChebModel.at
+    calls = []
+    monkeypatch.setattr(
+        distributions._ChebModel, "at", lambda model, x: calls.append(x) or at(model, x)
+    )
+    for alpha in alphas:
+        threshold_for_false_alarm(d, alpha)
+    assert len(calls) / len(alphas) <= 20
