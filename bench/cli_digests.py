@@ -28,6 +28,7 @@ COMMANDS = [
     *(["quantile", "--p", p] for p in ("0.5", "0.9", "0.99")),
     ["moments"],
     ["coeffs"],
+    ["validate", "--samples", "20000"],
 ]
 
 

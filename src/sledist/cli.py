@@ -174,7 +174,8 @@ def _run_validate(args) -> int:
     ks = ks_distance(sample, dist)
     exact_mean = sle_moment(dist, 1)
     emp_mean = float(np.mean(sample.values))
-    stderr = float(np.std(sample.values, ddof=1)) / math.sqrt(len(sample))
+    n = len(sample)
+    stderr = float(np.std(sample.values, ddof=1)) / math.sqrt(n) if n >= 2 else math.nan
     mean_gap = abs(emp_mean - float(exact_mean))
     ks_ok = ks < args.ks_threshold
     mean_ok = mean_gap <= 3 * stderr
@@ -208,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ConsistencyError, EigensolverError) as exc:
+    except (ValueError, ConsistencyError, EigensolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,37 +47,15 @@ span, NaN and node hits run only when a point needs them.  The tests hold
 both paths, bit for bit, to a reference dispatch that selects each
 segment's points by a mask and subtracts.
 
-``quantile`` bisects the float CDF, but exact levels decide every step they
-can.  Once per call it takes the last breakpoint whose exact CDF level,
-computed by construction for its checks, lies more than 1e-9 below p and the
-first whose level lies more than 1e-9 above it.  A midpoint at or below the
-first kind has F(mid) < p - 1e-9, so the float CDF, certified within 1e-13,
-reads below p there and the step sets ``lo``; at or above the second kind it
-sets ``hi``.  The margin is 1e4 times the certified error, and covers the
-rounding of the levels and breakpoints to floats.  When p lies inside one
-segment, the values of its model's nodes, each the exact F(x_k) rounded
-once, decide midpoints by the same rule, and a few probes narrow the node
-gap that is left: secant steps on the model, each deciding the midpoints on
-its side when its value lies more than 2.5e-13, twice the certified error
-and some room, from p (``_ChebModel.narrow``).  Only midpoints between the
-two ends evaluate, so the steps, and the answer, are those of plain
-bisection.  A warm threshold takes about 13 evaluations in place of 41, and
-a cold call builds the float model of the answer's segment alone, unless p
-lies within the margin of a breakpoint level.
-
-A step that evaluates asks only whether ``eval(mid) < p``.  Until numpy is
-loaded, the segment's model answers on Python floats: it sums the
-barycentric terms with ``math.fsum`` and bounds how far any BLAS summation
-order could round from that sum (``_ChebModel.interval``).  An interval
-wholly below p, or wholly at or above it, decides the step as the one-row
-product would; otherwise the step runs that product, as ``eval`` does,
-which loads numpy.  A probe before numpy is loaded reads the same interval
-and never runs the product, so a cold call loads numpy only where plain
-bisection would.  Once numpy is loaded, every step and probe runs the
-product, the cheaper of the two.  Either way the answer is bit for bit that
-of bisection on ``eval``.  A step stays undecided when F(mid) lies within
-the bound of p, which happens mostly at small alpha, where the density is
-small and the last steps move F by little more than the bound.
+``quantile`` bisects the float CDF, and decides most steps without
+evaluating (``quantile``, ``_ChebModel.narrow``): a cold call builds the
+float model of the answer's segment alone, unless p lies within the margin
+of a breakpoint level.  Until numpy is loaded, a step that evaluates reads
+the model's rounding bound on Python floats (``_ChebModel.interval``) and
+runs the one-row product, which loads numpy, only when p lies inside the
+bound: mostly at small alpha, where the density is small and the last steps
+move F by little more than the bound.  Either way the answer is bit for bit
+that of bisection on ``eval``.
 
 Models are built on Python floats, and numpy loads on the first operation
 that needs an array: ``eval``, a bisection step the bound leaves undecided,
@@ -124,12 +102,14 @@ _GUARD_BITS = 64
 _EVAL_CHUNK = 4096
 _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
-# exact breakpoint levels this far from p decide bisection steps: 1e4 times the certified 1e-13
-_LEVEL_MARGIN = 1e-9
-# a probe this far from p decides bisection steps: the model lies within the
-# certified 1e-13 of F at the probe and at the midpoint, which leaves 5e-14 of
-# room for the rounding of p -+ margin; and offset probes aim this many margins
-# to either side of the root
+# a breakpoint level, node value or probe this far from p decides bisection
+# steps.  The midpoint's reading lies within the certified 1e-13 of F.  A
+# level or node value is the exact F rounded once, and rounding a breakpoint
+# to a double moves F by at most the density times one ulp, about 1.2e-14 at
+# a density of 26, the peak at (2,1000); a probe reads within 1e-13 of F as
+# well.  Either way the two fit under 2e-13, which leaves room for the
+# rounding of p -+ margin.  Offset probes aim this many margins to either
+# side of the root
 _PROBE_MARGIN = 2.5e-13
 _PROBE_OFFSET = 1.5
 _PROBES = 8  # secant and regula falsi probes per quantile, at most
@@ -472,27 +452,27 @@ class _ChebModel(Frozen):
 
         For a CDF segment that holds the quantile of p.  A node value is the
         exact F(x_k) rounded once, so the last node whose value lies more than
-        ``_LEVEL_MARGIN`` below p, and the first more than that above it,
+        ``_PROBE_MARGIN`` below p, and the first more than that above it,
         decide the midpoints beyond them as the breakpoint levels do
-        (``quantile``); ``bisect`` finds both in the value list.  Between
-        those two nodes, secant probes through the two latest points, or
-        regula falsi on the bracket where a secant step would leave it
-        (Brent, *Algorithms for Minimization without Derivatives*, ch. 4),
-        seek p; once a probe reads within ``_PROBE_MARGIN`` of p, two more
-        straddle the secant root at ``_PROBE_OFFSET`` margins.  A probe whose
-        value lies more than the margin below p becomes ``below``, more than
-        it above p ``above``.  A warm probe reads :meth:`at`; before numpy
-        is loaded it reads :meth:`interval` and decides only when the whole
-        interval lies beyond the margin, so it never loads numpy.
+        (``quantile``); ``bisect`` finds both in the value list.  Until numpy
+        is loaded that bracket is the answer, so a cold call loads numpy only
+        where plain bisection would.  Once it is loaded, probes read
+        :meth:`at` between those two nodes: secant steps through the two
+        latest points, or regula falsi on the bracket where a secant step
+        would leave it (Brent, *Algorithms for Minimization without
+        Derivatives*, ch. 4), seek p; once a probe reads within the margin
+        of p, two more straddle the secant root at ``_PROBE_OFFSET`` margins.
+        A probe whose value lies more than the margin below p becomes
+        ``below``, more than it above p ``above``.
         """
         nodes, values, _ = self._lists
-        k = bisect_left(values, p - _LEVEL_MARGIN)
-        n = bisect_right(values, p + _LEVEL_MARGIN)
+        k = bisect_left(values, p - _PROBE_MARGIN)
+        n = bisect_right(values, p + _PROBE_MARGIN)
         if k:
             below = max(below, nodes[k - 1])
         if n < len(nodes):
             above = min(above, nodes[n])
-        if not k or n == len(nodes):
+        if np is None or not k or n == len(nodes):
             return below, above
         # the bracket (a, b), and the two latest points (x0, f0), (x1, f1) of f = value - p
         a, fa, b, fb = nodes[k - 1], values[k - 1] - p, nodes[n], values[n] - p
@@ -504,15 +484,14 @@ class _ChebModel(Frozen):
             x = x1 - f1 / slope
             if not a < x < b:
                 x = a - fa * (b - a) / (fb - fa)
-            bounds = self._probe(x) if a < x < b else None
-            if bounds is None:
+            if not a < x < b:
                 return a, b
-            f = 0.5 * (bounds[0] + bounds[1]) - p
-            x0, f0, x1, f1 = x1, f1, x, f
-            if bounds[1] < p - _PROBE_MARGIN:
-                a, fa = x, f
-            elif bounds[0] > p + _PROBE_MARGIN:
-                b, fb = x, f
+            value = self.at(x)
+            x0, f0, x1, f1 = x1, f1, x, value - p
+            if value < p - _PROBE_MARGIN:
+                a, fa = x, f1
+            elif value > p + _PROBE_MARGIN:
+                b, fb = x, f1
             else:
                 break
         else:
@@ -522,19 +501,13 @@ class _ChebModel(Frozen):
         if slope > 0.0:
             root, step = x1 - f1 / slope, _PROBE_OFFSET * _PROBE_MARGIN / slope
             for x in (root - step, root + step):
-                bounds = self._probe(x) if a < x < b else None
-                if bounds is not None and bounds[1] < p - _PROBE_MARGIN:
-                    a = x
-                elif bounds is not None and bounds[0] > p + _PROBE_MARGIN:
-                    b = x
+                if a < x < b:
+                    value = self.at(x)
+                    if value < p - _PROBE_MARGIN:
+                        a = x
+                    elif value > p + _PROBE_MARGIN:
+                        b = x
         return a, b
-
-    def _probe(self, x: float) -> tuple[float, float] | None:
-        """``at(x)`` once numpy is loaded, before that :meth:`interval`."""
-        if np is None:
-            return self.interval(x)
-        value = self.at(x)
-        return value, value
 
     def __call__(self, pairs: np.ndarray) -> None:
         """Barycentric sums at the points ``pairs[:, 0]``, written over ``pairs``.
@@ -874,15 +847,15 @@ def sle_distribution(table: CoefficientTable) -> SleDistribution:
 def quantile(d: SleDistribution, p: float) -> float:
     """Inverse CDF by bisection to absolute x-tolerance 1e-12.
 
-    Four things decide a midpoint, in turn: the breakpoint levels, beyond a
-    breakpoint whose exact level lies more than ``_LEVEL_MARGIN`` from p;
-    the node levels of the answer's segment, by the same rule; probes in the
-    node gap left, beyond one whose value lies more than ``_PROBE_MARGIN``
-    from p (:meth:`_ChebModel.narrow`); and evaluation for the midpoints
-    left between.  The first three decide a midpoint only as evaluation
-    would, so the steps, and the answer, are those of plain bisection.
-    Before numpy is loaded, probes and steps read the model's rounding bound
-    where it decides them (module docstring).
+    Four things decide a midpoint, in turn, each beyond a point whose reading
+    lies more than the one margin ``_PROBE_MARGIN`` from p: the exact
+    breakpoint levels; the node values of the answer's segment, in every
+    state; probes in the node gap left, once numpy is loaded
+    (:meth:`_ChebModel.narrow`); and evaluation for the midpoints left
+    between, which reads the model's rounding bound before numpy is loaded
+    (:meth:`PiecewisePolynomial._reads_below`).  The first three decide a
+    midpoint only as evaluation would, so the steps, and the answer, are
+    those of plain bisection.
     """
     if math.isnan(p) or not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
@@ -893,8 +866,8 @@ def quantile(d: SleDistribution, p: float) -> float:
         return K
     xs, levels = d._break_xs, d._break_levels
     # F(x) < p - margin at and below `below`, F(x) > p + margin at and above `above`
-    i = bisect_left(levels, p - _LEVEL_MARGIN)
-    j = bisect_right(levels, p + _LEVEL_MARGIN)
+    i = bisect_left(levels, p - _PROBE_MARGIN)
+    j = bisect_right(levels, p + _PROBE_MARGIN)
     below = xs[i - 1] if i else -math.inf
     above = xs[j] if j < len(xs) else math.inf
     if i == j:

@@ -79,7 +79,7 @@ def test_cli_digests_agree_between_runs():
     (a, _), (b, _) = (run.communicate() for run in runs)
     assert [run.returncode for run in runs] == [0, 0]
     lines = a.decode().splitlines()
-    assert a == b and len(lines) == 10
+    assert a == b and len(lines) == 11
     assert lines[0].endswith(" cdf --K 2 --N 10") and len(lines[0].split()[0]) == 64
 
 
@@ -216,6 +216,21 @@ def test_resource_limit_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cdf", "--K", "2", "--N", "3"],
+        ["coeffs", "--K", "2", "--N", "3"],
+        ["validate", "--K", "2", "--N", "3", "--samples", "50"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_1(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert code == 1 and err.startswith("error:") and str(path) in err
+
+
 def test_bad_arguments_exit_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["quantile", "--K", "2", "--N", "5"])  # missing --p
@@ -249,6 +264,14 @@ def test_validate_small_run(tmp_path, capsys):
     meta = json.loads((tmp_path / "sample.csv.meta.json").read_text())
     assert meta["K"] == 2 and meta["N"] == 6 and meta["samples"] == 4000
     assert meta["seed"] == 2718 and meta["generator"] == "Philox" and meta["partitions"] == 1
+
+
+def test_validate_one_sample_fails_without_warnings(capsys):
+    # one draw has no standard error: the mean gate reads nan and fails, and
+    # no numpy warning reaches stderr (the suite turns RuntimeWarning into errors)
+    code, out, err = run_cli(["validate", "--K", "2", "--N", "3", "--samples", "1"], capsys)
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1].endswith("vs 3*stderr nan): FAIL")
 
 
 def test_validate_unreachable_threshold_fails(capsys):

@@ -1,5 +1,6 @@
 """The determinant engine, and its agreement with the closed-form oracles."""
 
+import hashlib
 import json
 import math
 import sys
@@ -333,6 +334,21 @@ def test_json_round_trip_is_exact():
     again = table_from_json(table_to_json(t))
     assert again.entries == t.entries
     assert (again.K, again.N) == (t.K, t.N)
+
+
+# SHA-256 of table_to_json at the largest shapes of the exact benchmark workloads:
+# any change to the engine must leave these bytes as they are
+TABLE_DIGESTS = {
+    (4, 64): "793067b803490d6ca51e24f15d1c8a3f1059aa1a2cbae752eb230a69df7b2ea3",
+    (8, 11): "c2278b931349051d5ec9ada87723e4e09363b234f2ac3ba926c19ea574dfaa9c",
+    (9, 10): "2f5fc085fab3f7c70e6cb8849a49b48e9004c44132233ec36126a8318ba0da69",
+}
+
+
+@pytest.mark.parametrize("K,N", list(TABLE_DIGESTS))
+def test_table_json_bytes_are_pinned(K, N):
+    digest = hashlib.sha256(table_to_json(cached_table(K, N)).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[K, N]
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

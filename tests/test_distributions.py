@@ -756,14 +756,30 @@ def test_threshold_complements_quantile():
 
 
 def _near_breakpoint_levels(d) -> list[float]:
-    """p at each exact breakpoint level and 5e-10, 1e-9 and 2e-9 to either side, inside (0, 1)."""
+    """p at each exact breakpoint level, and one and two margins and 5e-10, 1e-9
+    and 2e-9 to either side, inside (0, 1)."""
+    margin = distributions._PROBE_MARGIN
     ps = set()
     for b in d.cdf.breakpoints:
         level = float(d.cdf.value_exact(b))
-        for offset in (0.0, 5e-10, 1e-9, 2e-9):
+        for offset in (0.0, margin, 2.0 * margin, 5e-10, 1e-9, 2e-9):
             for p in (level - offset, level + offset):
                 ps.add(min(max(p, 5e-324), math.nextafter(1.0, 0.0)))
     return sorted(ps)
+
+
+@pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (8, 8), (2, 300)])
+def test_cdf_one_ulp_beside_a_breakpoint_reads_near_its_exact_level(K, N):
+    # the premise of quantile's one margin for breakpoint levels: beside a
+    # breakpoint the float CDF lies within the certified 1e-13 of the exact
+    # level, plus the density's move over the distance to the float there
+    d = cached_dist(K, N)
+    for b in d.cdf.breakpoints:
+        level = d.cdf.value_exact(b)
+        for x in (math.nextafter(float(b), -math.inf), math.nextafter(float(b), math.inf)):
+            density = max(d.pdf.eval(x), d.pdf.eval(float(b)))
+            slack = F(1e-13) + F(density) * abs(F(x) - b)
+            assert abs(F(d.cdf.eval(x)) - level) <= slack, (b, x)
 
 
 @pytest.mark.parametrize("K,N", EXACT_CONFIGS + [(4, 40), (4, 41), (4, 53), (8, 8), (9, 9)])
@@ -808,14 +824,14 @@ def test_narrowed_bracket_reads_beyond_the_margins(K, N, cold, offset, monkeypat
 
 def _near_node_values(d) -> list[float]:
     """p at every fourth interior node value of each CDF segment, and one and two
-    probe or level margins to either side."""
+    margins and 1e-9 and 2e-9 to either side."""
+    margin = distributions._PROBE_MARGIN
     ps = set()
     for t in range(len(d.cdf.segments)):
         values = d.cdf._model(t)._lists[1]
         for v in values[1:-1:4]:
-            for margin in (distributions._PROBE_MARGIN, distributions._LEVEL_MARGIN):
-                for offset in (0.0, margin, 2.0 * margin):
-                    ps.update((v - offset, v + offset))
+            for offset in (0.0, margin, 2.0 * margin, 1e-9, 2e-9):
+                ps.update((v - offset, v + offset))
     return sorted(p for p in ps if 0.0 < p < 1.0)
 
 
@@ -834,7 +850,7 @@ def test_quantile_and_threshold_match_bisection_near_node_values(K, N, monkeypat
         assert quantile(d, p) == want, p
         if threshold is not None:
             assert threshold_for_false_alarm(d, alpha) == threshold, alpha
-    # cold: probes read the rounding bound, and a fresh model per call has no arrays yet
+    # cold: no probes, steps read the rounding bound, and a fresh model per call has no arrays yet
     cold = sle_distribution(cached_table(K, N))
     for p, want, alpha, threshold in cases:
         for call, x, answer in ((quantile, p, want), (threshold_for_false_alarm, alpha, threshold)):

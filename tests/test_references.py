@@ -84,8 +84,8 @@ def test_warm_pool_reproduces_the_pvalue_stream_reference(K, N):
 
 @pytest.mark.parametrize("workload, loading", [("exact_long_n", 10), ("exact_large_k", 6)])
 def test_cold_bisection_loads_numpy_in_the_same_requests(workload, loading, monkeypatch):
-    # 10 of the 36 and 6 of the 9 bisection requests load numpy, as they did
-    # before probes narrowed the bracket: a probe never calls the BLAS product
+    # 10 of the 36 and 6 of the 9 bisection requests load numpy, as plain
+    # bisection on the rounding bound does: until numpy is loaded, quantile takes no probes
     load = distributions._load_numpy
     loaded = []
     for _, argv in (b for b in BISECTIONS if b[0] == workload):
