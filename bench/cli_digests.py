@@ -29,6 +29,7 @@ COMMANDS = [
     ["moments"],
     ["coeffs"],
     ["validate", "--samples", "20000"],
+    ["validate", "--samples", "20000", "--partitions", "3"],
 ]
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 
 from .coefficients import (
     ConsistencyError,
@@ -97,6 +98,18 @@ def _open_out(path: str | None):
     return open(path, "w")
 
 
+@contextmanager
+def _new_file(path: str):
+    """Open ``path`` for writing, and remove it again if the block raises."""
+    stream = open(path, "w")
+    try:
+        with stream:
+            yield stream
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def _run_coeffs(args) -> int:
     table = coefficient_table(args.K, args.N)
     with _open_out(args.out) as stream:
@@ -164,13 +177,16 @@ def _run_validate(args) -> int:
     config = SimulationConfig(
         K=args.K, N=args.N, samples=args.samples, seed=args.seed, partitions=args.partitions
     )
-    sample = sample_sle(config)
-    if args.out:
-        with open(args.out, "w") as stream:
-            write_sample_csv(sample, stream)
-        with open(args.out + ".meta.json", "w") as stream:
-            json.dump(sample_metadata(sample), stream, indent=2)
-            stream.write("\n")
+    # an unwritable --out fails before the sample is drawn
+    with ExitStack() as outputs:
+        if args.out:
+            csv = outputs.enter_context(_new_file(args.out))
+            meta = outputs.enter_context(_new_file(args.out + ".meta.json"))
+        sample = sample_sle(config)
+        if args.out:
+            write_sample_csv(sample, csv)
+            json.dump(sample_metadata(sample), meta, indent=2)
+            meta.write("\n")
     ks = ks_distance(sample, dist)
     exact_mean = sle_moment(dist, 1)
     emp_mean = float(np.mean(sample.values))

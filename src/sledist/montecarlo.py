@@ -11,12 +11,26 @@ index space is split into `partitions` independent substreams derived from
 the seed, so results are reproducible for a fixed partition count and the
 generator name and partition count travel with the exported metadata.
 
-Sampling is pipelined: while one worker thread computes the statistic of a
-4096-matrix chunk (Gram product and LAPACK eigensolve, which release the
-interpreter lock), the calling thread draws the next chunk.  Chunks are drawn
-in the same order from the same streams as a serial loop would draw them, and
-every chunk's statistics land at the same offsets, so the sample is bit for
-bit the serial one for every (seed, partitions).
+Sampling is pipelined in blocks of 1024 matrices.  The calling thread draws
+a 4096-matrix chunk's real parts into one reused buffer, then forms the
+chunk's complex matrices one block at a time: it copies a block's real parts
+into a free block buffer, draws the block's imaginary parts into the chunk
+buffer over the real parts just copied, and scales by sqrt(0.5).  Each block
+goes to one worker thread as soon as it is formed, and the worker computes
+its statistics (Gram product and LAPACK eigensolve, which release the
+interpreter lock) while the next block is drawn.  The imaginary parts of a
+chunk follow its real parts in the stream whatever block they are drawn in,
+every matrix meets the same arithmetic, and every block's statistics land at
+the same offsets, so the sample is bit for bit the serial one for every
+(seed, partitions).  The working set is one chunk's real parts, two complex
+blocks and the statistic's temporaries of one block, under 3 chunks of
+doubles, plus one double per sample for the values.
+
+The statistic stays on one worker thread.  A second one gains nothing,
+because numpy's OpenBLAS serialises concurrent eigensolves: on a 2-core host,
+32,768 (6,6) Gram matrices took 0.19-0.27 s as two halves on two threads
+against 0.14-0.23 s on one.  Two forked processes took 0.12-0.13 s, but a
+process pool would have to ship every block to its worker and back.
 """
 
 from __future__ import annotations
@@ -47,8 +61,9 @@ GENERATOR_NAME = "Philox"
 # Matrices drawn per chunk.  This defines the stream: all real parts of a chunk
 # are drawn before all its imaginary parts, so changing it changes every sample.
 _CHUNK = 4096
-# Matrices per Gram product and eigensolve inside sle_statistic; bounds the
-# temporaries and does not affect the values.
+# Matrices per Gram product and eigensolve inside sle_statistic, and per block
+# that sample_sle hands its worker; bounds the temporaries and the complex
+# buffers and does not affect the values.
 _STATISTIC_BLOCK = 1024
 # eigensolver contract is relative 1e-10; allow that much slack on the support bounds
 _SUPPORT_TOL = 1e-9
@@ -134,8 +149,9 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
 
     Partition p consumes the p-th child of SeedSequence(seed), so the result
     depends on (seed, partitions) and on nothing else.  The calling thread
-    draws the chunks in stream order; one worker thread computes each chunk's
-    statistics while the next chunk is drawn, so at most two chunks are alive.
+    draws in stream order and forms the matrices one block at a time; one
+    worker thread computes each block's statistics while the next block is
+    formed, so one chunk of real parts and two blocks of matrices are alive.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -143,29 +159,39 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     children = np.random.SeedSequence(config.seed).spawn(config.partitions)
     base, extra = divmod(config.samples, config.partitions)
     values = np.empty(config.samples)
-    # every draw fills this one buffer: no chunk-sized temporary is allocated
-    # and freed per draw, so the peak resident set does not depend on where
-    # the allocator happens to place such temporaries
+    # a chunk's real parts; each block's imaginary parts are then drawn over
+    # the block's real parts once they are copied out, so this is the only
+    # float buffer, and no draw allocates and frees a temporary whose place
+    # the allocator might leave resident
     draw = np.empty(min(_CHUNK, config.samples) * K * N)
+    # two block buffers: the worker solves one while the next is formed
+    ring = np.empty((2, min(_STATISTIC_BLOCK, config.samples), K, N), dtype=np.complex128)
+    pending = [None, None]
+    slot = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = None
         offset = 0
         for p, child in enumerate(children):
             rng = np.random.Generator(np.random.Philox(child))
             end = offset + base + (1 if p < extra else 0)
             for start in range(offset, end, _CHUNK):
                 m = min(_CHUNK, end - start)
-                # the bits of (a + 1j*b) * sqrt(0.5), with the draw buffer as the only float temporary
-                Z = np.empty((m, K, N), dtype=np.complex128)
-                part = draw[: m * K * N].reshape(m, K, N)
-                Z.real = rng.standard_normal(out=part)
-                Z.imag = rng.standard_normal(out=part)
-                Z *= math.sqrt(0.5)
-                if pending is not None:
-                    pending.result()
-                pending = worker.submit(_statistic_into, values[start : start + m], Z)
+                reals = rng.standard_normal(out=draw[: m * K * N].reshape(m, K, N))
+                for first in range(0, m, _STATISTIC_BLOCK):
+                    part = reals[first : first + _STATISTIC_BLOCK]
+                    if pending[slot] is not None:
+                        pending[slot].result()
+                    # the bits of (a + 1j*b) * sqrt(0.5)
+                    Z = ring[slot, : len(part)]
+                    Z.real = part
+                    Z.imag = rng.standard_normal(out=part)
+                    Z *= math.sqrt(0.5)
+                    at = start + first
+                    pending[slot] = worker.submit(_statistic_into, values[at : at + len(part)], Z)
+                    slot ^= 1
             offset = end
-        pending.result()
+        for future in pending:
+            if future is not None:
+                future.result()
     values.sort()
     return EmpiricalSample(values=values, config=config)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sledist import coefficient_table, table_from_json, table_to_json
+from sledist import EigensolverError, coefficient_table, montecarlo, table_from_json, table_to_json
 from sledist.cli import main
 
 from oracles import closed_form_k2, closed_form_k3
@@ -79,7 +79,7 @@ def test_cli_digests_agree_between_runs():
     (a, _), (b, _) = (run.communicate() for run in runs)
     assert [run.returncode for run in runs] == [0, 0]
     lines = a.decode().splitlines()
-    assert a == b and len(lines) == 11
+    assert a == b and len(lines) == 12
     assert lines[0].endswith(" cdf --K 2 --N 10") and len(lines[0].split()[0]) == 64
 
 
@@ -264,6 +264,33 @@ def test_validate_small_run(tmp_path, capsys):
     meta = json.loads((tmp_path / "sample.csv.meta.json").read_text())
     assert meta["K"] == 2 and meta["N"] == 6 and meta["samples"] == 4000
     assert meta["seed"] == 2718 and meta["generator"] == "Philox" and meta["partitions"] == 1
+
+
+def test_validate_unwritable_out_fails_before_drawing(tmp_path, capsys, monkeypatch):
+    def never(config):
+        pytest.fail("sampled although --out cannot be written")
+
+    monkeypatch.setattr(montecarlo, "sample_sle", never)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["validate", "--K", "3", "--N", "40", "--out", str(path)], capsys)
+    assert code == 1 and out == "" and err.startswith("error:") and str(path) in err
+
+
+def test_validate_failed_run_leaves_no_files(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise EigensolverError("LAPACK eigvalsh failed")
+
+    argv = ["validate", "--K", "2", "--N", "6", "--samples", "50", "--out"]
+    monkeypatch.setattr(montecarlo, "sample_sle", fail)
+    code, _, err = run_cli([*argv, str(tmp_path / "x.csv")], capsys)
+    assert code == 1 and "LAPACK" in err
+    assert list(tmp_path.iterdir()) == []
+    # the sidecar cannot be opened: the sample CSV opened before it goes too
+    monkeypatch.undo()
+    (tmp_path / "y.csv.meta.json").mkdir()
+    code, _, err = run_cli([*argv, str(tmp_path / "y.csv")], capsys)
+    assert code == 1 and err.startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["y.csv.meta.json"]
 
 
 def test_validate_one_sample_fails_without_warnings(capsys):

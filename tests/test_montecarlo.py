@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,8 @@ def test_partitions_cover_all_samples():
     [
         (2, 10, 9000, 1),  # three chunks, the last one partial
         (3, 40, 4096, 1),  # exactly one chunk
+        (3, 40, 6144, 1),  # a chunk and a half: two blocks in the last chunk
+        (3, 40, 500, 1),  # shorter than one block
         (4, 10, 10001, 3),
         (6, 6, 1, 1),
         (2, 10, 401, 7),
@@ -105,6 +108,20 @@ def test_stream_matches_serial_reference(K, N, samples, partitions):
     config = SimulationConfig(K=K, N=N, samples=samples, seed=2024, partitions=partitions)
     got = sample_sle(config).values
     assert np.array_equal(got.view(np.uint64), sample_sle_reference(config).view(np.uint64))
+
+
+def test_sampler_working_set_is_a_few_chunk_draws():
+    # a chunk's real parts, two complex block buffers and the statistic's
+    # temporaries; holding whole chunks as complex matrices took 5.8 draws
+    K, N = 3, 40
+    config = SimulationConfig(K=K, N=N, samples=3 * 4096, seed=5)
+    tracemalloc.start()
+    try:
+        sample_sle(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 4096 * K * N * 8
 
 
 def test_stream_unchanged_under_frequent_thread_switches():
