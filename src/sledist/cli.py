@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w")
-
-
 @contextmanager
 def _new_file(path: str):
     """Open ``path`` for writing, and remove it again if the block raises."""
@@ -108,6 +102,12 @@ def _new_file(path: str):
     except BaseException:
         os.remove(path)
         raise
+
+
+def _open_out(path: str | None):
+    if path is None:
+        return nullcontext(sys.stdout)
+    return _new_file(path)
 
 
 def _run_coeffs(args) -> int:

@@ -11,20 +11,23 @@ index space is split into `partitions` independent substreams derived from
 the seed, so results are reproducible for a fixed partition count and the
 generator name and partition count travel with the exported metadata.
 
-Sampling is pipelined in blocks of 1024 matrices.  The calling thread draws
-a 4096-matrix chunk's real parts into one reused buffer, then forms the
-chunk's complex matrices one block at a time: it copies a block's real parts
-into a free block buffer, draws the block's imaginary parts into the chunk
-buffer over the real parts just copied, and scales by sqrt(0.5).  Each block
-goes to one worker thread as soon as it is formed, and the worker computes
-its statistics (Gram product and LAPACK eigensolve, which release the
-interpreter lock) while the next block is drawn.  The imaginary parts of a
-chunk follow its real parts in the stream whatever block they are drawn in,
-every matrix meets the same arithmetic, and every block's statistics land at
-the same offsets, so the sample is bit for bit the serial one for every
-(seed, partitions).  The working set is one chunk's real parts, two complex
-blocks and the statistic's temporaries of one block, under 3 chunks of
-doubles, plus one double per sample for the values.
+Sampling is pipelined in blocks bounded in bytes: a block holds at most
+1024 matrices and at most 640 KiB of complex entries, so 1024 matrices while
+K * N <= 40, 341 at (3, 40) and 102 at (4, 100).  The calling thread draws a
+4096-matrix chunk's real parts into one reused buffer, then forms the chunk's
+complex matrices one block at a time: it copies a block's real parts into a
+free block buffer, draws the block's imaginary parts into the chunk buffer
+over the real parts just copied, and scales by sqrt(0.5).  Each block goes to
+one worker thread as soon as it is formed, and the worker computes its
+statistics (Gram product and LAPACK eigensolve, which release the interpreter
+lock) while the next block is drawn.  The imaginary parts of a chunk follow
+its real parts in the stream whatever block they are drawn in, every matrix
+meets the same arithmetic, and every block's statistics land at the same
+offsets, so the sample is bit for bit the serial one for every
+(seed, partitions).  The working set is one chunk's real parts plus about
+three 640 KiB blocks: two complex block buffers and the statistic's conjugate
+copy of one, whose Gram products are smaller by a factor N / K.  One double
+per sample holds the values.
 
 The statistic stays on one worker thread.  A second one gains nothing,
 because numpy's OpenBLAS serialises concurrent eigensolves: on a 2-core host,
@@ -61,10 +64,13 @@ GENERATOR_NAME = "Philox"
 # Matrices drawn per chunk.  This defines the stream: all real parts of a chunk
 # are drawn before all its imaginary parts, so changing it changes every sample.
 _CHUNK = 4096
-# Matrices per Gram product and eigensolve inside sle_statistic, and per block
-# that sample_sle hands its worker; bounds the temporaries and the complex
-# buffers and does not affect the values.
+# At most this many matrices per Gram product and eigensolve inside
+# sle_statistic, and per block that sample_sle hands its worker.
 _STATISTIC_BLOCK = 1024
+# At most this many bytes of complex128 entries per block: a 1024-matrix block
+# at K*N = 40.  Bounds the complex buffers and the statistic's temporaries at
+# large K*N; the block size does not affect the values.
+_BLOCK_BYTES = 640 * 1024
 # eigensolver contract is relative 1e-10; allow that much slack on the support bounds
 _SUPPORT_TOL = 1e-9
 
@@ -119,24 +125,30 @@ class EmpiricalSample:
         return int(self.values.size)
 
 
+def _block_size(K: int, N: int) -> int:
+    """Matrices per block for K x N complex matrices."""
+    return max(1, min(_STATISTIC_BLOCK, _BLOCK_BYTES // (16 * K * N)))
+
+
 def sle_statistic(Z: np.ndarray) -> np.ndarray:
     """SLE statistic K * lambda_max / trace for one or a batch of data matrices.
 
-    A batch is worked through in blocks of at most ``_STATISTIC_BLOCK``
-    matrices; each matrix's value is the same whatever block it falls in.
+    A batch is worked through in blocks of ``_block_size(K, N)`` matrices;
+    each matrix's value is the same whatever block it falls in.
     """
     Z = np.asarray(Z, dtype=np.complex128)
     single = Z.ndim == 2
     if single:
         Z = Z[None]
-    K = Z.shape[1]
+    _, K, N = Z.shape
+    size = _block_size(K, N)
     eigvalsh_batch = get_backend().eigvalsh_batch
     stats = np.empty(Z.shape[0])
-    for start in range(0, Z.shape[0], _STATISTIC_BLOCK):
-        block = Z[start : start + _STATISTIC_BLOCK]
+    for start in range(0, Z.shape[0], size):
+        block = Z[start : start + size]
         R = block @ block.conj().swapaxes(-1, -2)
         trace = np.einsum("sii->s", R).real
-        stats[start : start + _STATISTIC_BLOCK] = K * eigvalsh_batch(R)[:, -1] / trace
+        stats[start : start + size] = K * eigvalsh_batch(R)[:, -1] / trace
     return stats[0] if single else stats
 
 
@@ -151,11 +163,13 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     depends on (seed, partitions) and on nothing else.  The calling thread
     draws in stream order and forms the matrices one block at a time; one
     worker thread computes each block's statistics while the next block is
-    formed, so one chunk of real parts and two blocks of matrices are alive.
+    formed.  A block holds ``_block_size(K, N)`` matrices, at most 640 KiB, so
+    one chunk of real parts and two such blocks of matrices are alive.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     K, N = config.K, config.N
+    size = _block_size(K, N)
     children = np.random.SeedSequence(config.seed).spawn(config.partitions)
     base, extra = divmod(config.samples, config.partitions)
     values = np.empty(config.samples)
@@ -164,8 +178,9 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     # float buffer, and no draw allocates and frees a temporary whose place
     # the allocator might leave resident
     draw = np.empty(min(_CHUNK, config.samples) * K * N)
-    # two block buffers: the worker solves one while the next is formed
-    ring = np.empty((2, min(_STATISTIC_BLOCK, config.samples), K, N), dtype=np.complex128)
+    # two block buffers of at most _BLOCK_BYTES each: the worker solves one
+    # while the next is formed
+    ring = np.empty((2, min(size, config.samples), K, N), dtype=np.complex128)
     pending = [None, None]
     slot = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -176,8 +191,8 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
             for start in range(offset, end, _CHUNK):
                 m = min(_CHUNK, end - start)
                 reals = rng.standard_normal(out=draw[: m * K * N].reshape(m, K, N))
-                for first in range(0, m, _STATISTIC_BLOCK):
-                    part = reals[first : first + _STATISTIC_BLOCK]
+                for first in range(0, m, size):
+                    part = reals[first : first + size]
                     if pending[slot] is not None:
                         pending[slot].result()
                     # the bits of (a + 1j*b) * sqrt(0.5)

@@ -231,6 +231,21 @@ def test_unwritable_out_exits_1(argv, tmp_path, capsys):
     assert code == 1 and err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "command,writer",
+    [("cdf", "write_distribution_csv"), ("coeffs", "table_to_json")],
+)
+def test_failed_run_leaves_no_out_file(command, writer, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(f"sledist.cli.{writer}", fail)
+    path = tmp_path / "out.txt"
+    code, _, err = run_cli([command, "--K", "2", "--N", "3", "--out", str(path)], capsys)
+    assert code == 1 and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_arguments_exit_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["quantile", "--K", "2", "--N", "5"])  # missing --p

@@ -99,6 +99,8 @@ def test_partitions_cover_all_samples():
         (3, 40, 4096, 1),  # exactly one chunk
         (3, 40, 6144, 1),  # a chunk and a half: two blocks in the last chunk
         (3, 40, 500, 1),  # shorter than one block
+        (3, 40, 4444, 1),  # 341-matrix blocks, which do not divide a chunk
+        (4, 100, 5000, 2),  # 102-matrix blocks, two partitions
         (4, 10, 10001, 3),
         (6, 6, 1, 1),
         (2, 10, 401, 7),
@@ -122,6 +124,20 @@ def test_sampler_working_set_is_a_few_chunk_draws():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 4096 * K * N * 8
+
+
+def test_sampler_blocks_are_bounded_in_bytes():
+    # at (4,100) a 1024-matrix complex block is 6.25 MiB; blocks of at most
+    # 640 KiB leave a chunk's real parts and a few MiB
+    K, N = 4, 100
+    config = SimulationConfig(K=K, N=N, samples=2 * 4096, seed=5)
+    tracemalloc.start()
+    try:
+        sample_sle(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096 * K * N * 8 + 4 * 2**20
 
 
 def test_stream_unchanged_under_frequent_thread_switches():
