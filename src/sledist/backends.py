@@ -4,7 +4,9 @@ One backend exists: numpy's LAPACK ``eigvalsh``, with a LAPACK failure
 wrapped in :class:`EigensolverError`, which is defined in the numpy-free
 ``coefficients`` module and re-exported here.  ``sle_statistic`` looks it up
 through ``get_backend`` on every call, so the benchmark's tracer can
-substitute a timed copy of the :class:`Backend` dataclass.
+substitute a timed copy of the :class:`Backend` dataclass.  The sampler's
+forked helper process makes its calls in its own copy of the interpreter, so
+an in-process tracer sees only the blocks that the calling process solves.
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ def test_cli_digests_agree_between_runs():
 
 
 def test_cdf_run_imports_neither_numpy_ma_nor_concurrent_futures():
-    # numpy.ma costs about 15 ms to import and the sampler's thread pool is
-    # imported only when sampling; a curve run needs neither
+    # numpy.ma costs about 15 ms to import; a curve run needs neither it nor
+    # a thread pool's concurrent.futures
     code = (
         "import sys; from sledist.cli import main; "
         "main(['cdf', '--K', '4', '--N', '10', '--grid', '64']); "

@@ -2,8 +2,11 @@
 
 import io
 import json
+import mmap
+import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from sledist import (
     write_sample_csv,
 )
 
+from sledist import montecarlo
 from sledist.cli import main
 
 from conftest import cached_dist
@@ -167,6 +171,131 @@ def test_eigensolver_failure_in_worker_propagates(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error:") and "LAPACK" in err
     assert threading.active_count() == threads
+
+
+# --- the helper process ----------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the helper processes that sample_sle forks during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_helper_is_reaped_after_sampling(forks):
+    config = SimulationConfig(K=4, N=10, samples=10001, seed=2024, partitions=3)
+    got = sample_sle(config).values
+    assert np.array_equal(got.view(np.uint64), sample_sle_reference(config).view(np.uint64))
+    _assert_reaped(forks)
+
+
+def test_helper_eigensolver_failure_keeps_its_type_and_message(monkeypatch, forks):
+    caller = os.getpid()
+    eigvalsh = np.linalg.eigvalsh
+
+    def fails_in_helper(mats):
+        if os.getpid() != caller:
+            raise np.linalg.LinAlgError("did not converge")
+        return eigvalsh(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_in_helper)
+    with pytest.raises(EigensolverError, match="LAPACK eigvalsh failed .* did not converge"):
+        _sample(samples=9000)
+    _assert_reaped(forks)
+
+
+def test_failure_in_caller_between_blocks_reaps_helper(monkeypatch, forks):
+    generator = np.random.Generator
+
+    class FailsOnFourthDraw:
+        # a chunk's real parts, then the imaginary parts of blocks 0, 1 and 2
+        def __init__(self, bits):
+            self._rng, self._draws = generator(bits), 0
+
+        def standard_normal(self, **kwargs):
+            self._draws += 1
+            if self._draws == 4:
+                raise RuntimeError("interrupted between blocks")
+            return self._rng.standard_normal(**kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", FailsOnFourthDraw)
+    with pytest.raises(RuntimeError, match="between blocks"):
+        _sample(samples=9000)
+    _assert_reaped(forks)
+
+
+def test_helper_dying_without_a_message_raises(monkeypatch, forks):
+    caller = os.getpid()
+    statistic = montecarlo.sle_statistic
+
+    def dies_in_helper(Z):
+        if os.getpid() != caller:
+            os._exit(3)
+        return statistic(Z)
+
+    monkeypatch.setattr(montecarlo, "sle_statistic", dies_in_helper)
+    began = time.monotonic()
+    with pytest.raises(EigensolverError, match="helper"):
+        _sample(samples=9000)
+    assert time.monotonic() - began < 5
+    _assert_reaped(forks)
+
+
+_SERIAL_CONFIGS = [
+    SimulationConfig(K=3, N=40, samples=4444, seed=2024),
+    SimulationConfig(K=4, N=10, samples=10001, seed=2024, partitions=3),
+]
+
+
+@pytest.mark.parametrize("config", _SERIAL_CONFIGS, ids=["3-40", "4-10"])
+def test_serial_stream_without_fork(monkeypatch, config):
+    monkeypatch.delattr(os, "fork")
+    got = sample_sle(config).values
+    assert np.array_equal(got.view(np.uint64), sample_sle_reference(config).view(np.uint64))
+
+
+@pytest.mark.parametrize("config", _SERIAL_CONFIGS, ids=["3-40", "4-10"])
+def test_serial_stream_beside_another_thread(forks, config):
+    # the sampling thread is the second one alive, so nothing may fork
+    result = []
+    thread = threading.Thread(target=lambda: result.append(sample_sle(config).values))
+    thread.start()
+    thread.join()
+    assert forks == []
+    assert np.array_equal(result[0].view(np.uint64), sample_sle_reference(config).view(np.uint64))
+
+
+@pytest.mark.parametrize("K,N,samples", [(4, 100, 2 * 4096), (3, 40, 3 * 4096)])
+def test_shared_regions_are_the_values_and_a_bounded_ring(monkeypatch, K, N, samples):
+    # tracemalloc does not see mmap buffers, so their lengths are checked here
+    lengths = []
+    shared = mmap.mmap
+
+    def recording_mmap(fileno, length, *args, **kwargs):
+        lengths.append(length)
+        return shared(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.mmap, "mmap", recording_mmap)
+    sample_sle(SimulationConfig(K=K, N=N, samples=samples, seed=5))
+    values, ring = lengths
+    assert values == 8 * samples
+    assert ring <= 3 * montecarlo._BLOCK_BYTES
 
 
 # --- the statistic itself --------------------------------------------------------
