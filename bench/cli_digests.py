@@ -21,7 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-SHAPES = [(2, 10), (4, 10), (6, 6), (8, 8), (9, 10), (3, 40), (4, 40), (4, 47), (4, 59), (4, 100), (2, 300)]
+SHAPES = [(2, 3), (2, 10), (4, 10), (6, 6), (8, 8), (9, 10), (3, 40), (4, 40), (4, 47), (4, 59), (4, 100), (2, 300)]
 COMMANDS = [
     ["cdf"],
     *(["threshold", "--alpha", a] for a in ("0.1", "0.01", "0.001", "0.0001")),

@@ -6,8 +6,8 @@ arithmetic; floats appear only at evaluation boundaries.
 
 ``import sledist`` loads neither numpy nor the sampler.  The exact names
 (tables, assembly, moments) are imported here; numpy loads on the first float
-operation that needs an array (see ``sledist.distributions``).  The sampler and backend names,
-whose modules import numpy, are served on first access by the module
+operation that needs an array (see ``sledist.distributions``).  The sampler
+names, whose module imports numpy, are served on first access by the module
 ``__getattr__`` (PEP 562).
 """
 
@@ -39,19 +39,17 @@ from .distributions import (
 )
 from .exact import Polynomial, Rational
 
-# names served by __getattr__, each from the module that imports numpy
-_LAZY = {
-    "GENERATOR_NAME": "montecarlo",
-    "EmpiricalSample": "montecarlo",
-    "SimulationConfig": "montecarlo",
-    "ks_distance": "montecarlo",
-    "sample_metadata": "montecarlo",
-    "sample_sle": "montecarlo",
-    "sle_statistic": "montecarlo",
-    "write_sample_csv": "montecarlo",
-    "Backend": "backends",
-    "get_backend": "backends",
-}
+# the sampler's names, served by __getattr__ from the module that imports numpy
+_LAZY = (
+    "SimulationConfig",
+    "EmpiricalSample",
+    "GENERATOR_NAME",
+    "sample_sle",
+    "sle_statistic",
+    "ks_distance",
+    "write_sample_csv",
+    "sample_metadata",
+)
 
 __version__ = "0.1.0"
 
@@ -78,22 +76,12 @@ __all__ = [
     "trace_moment",
     "default_grid",
     "write_distribution_csv",
-    "SimulationConfig",
-    "EmpiricalSample",
-    "GENERATOR_NAME",
-    "sample_sle",
-    "sle_statistic",
-    "ks_distance",
-    "write_sample_csv",
-    "sample_metadata",
-    "Backend",
     "EigensolverError",
-    "get_backend",
+    *_LAZY,
 ]
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    return getattr(importlib.import_module(".montecarlo", __name__), name)

@@ -360,7 +360,7 @@ def _int_str_digits(digits: int):
 
 
 @_int_str_digits(0)
-def table_to_json(table: CoefficientTable, indent: int | None = 2) -> str:
+def table_to_json(table: CoefficientTable) -> str:
     """Serialize a table; big integers become decimal strings so any JSON parser survives."""
     import json
 
@@ -372,7 +372,7 @@ def table_to_json(table: CoefficientTable, indent: int | None = 2) -> str:
             for (i, j), c in sorted(table.entries.items())
         ],
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)
 
 
 def table_from_json(text: str) -> CoefficientTable:

@@ -722,21 +722,17 @@ def build_sle_pdf(table: CoefficientTable) -> PiecewisePolynomial:
 
     On [K/(m+1), K/m) exactly the blocks i <= m are active, so the gate
     disappears into the segment structure: each segment is the previous one
-    plus one block.  Block K is gated at x <= 1 and never enters a segment.
+    plus one block.  Block K is gated at x <= 1, never enters a segment and
+    gets no weights.
     """
-    K, N = table.K, table.N
-    KN = K * N
+    K = table.K
+    KN = K * table.N
     pref = Fraction(math.factorial(KN - 1), K ** (KN - 1))
-    weights: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(1, K + 1)}
+    # the table's validated bound j <= (N+K)i - 2i^2 keeps every e_j >= 0
+    weights: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(1, K)}
     for (i, j), c in table.entries.items():
-        if not c:
-            continue
-        e = KN - j - 2
-        if e < 0:
-            raise ConsistencyError(
-                f"entry (i={i}, j={j}) implies negative exponent {e} for K={K}, N={N}"
-            )
-        weights[i].append((j, c / math.factorial(e)))
+        if c and i < K:
+            weights[i].append((j, c / math.factorial(KN - j - 2)))
     segments = []
     num, den_sum = (), 1  # the running segment, sum_k num[k] x^k / den_sum
     for i in range(1, K):

@@ -11,17 +11,18 @@ index space is split into `partitions` independent substreams derived from
 the seed, so results are reproducible for a fixed partition count and the
 generator name and partition count travel with the exported metadata.
 
-Sampling is pipelined in blocks bounded in bytes: a block holds at most
-1024 matrices and at most 640 KiB of complex entries, so 1024 matrices while
-K * N <= 40, 341 at (3, 40) and 102 at (4, 100).  The calling process draws
-a 4096-matrix chunk's real parts into one reused buffer, then forms the
-chunk's complex matrices one block at a time: it copies a block's real parts
-into a free buffer of a ring of three, draws the block's imaginary parts into
-the chunk buffer over the real parts just copied, and scales by sqrt(0.5).
-The imaginary parts of a chunk follow its real parts in the stream whatever
-block they are drawn in, and every block's statistics land at the same
-offsets, so the sample is bit for bit the serial one for every
-(seed, partitions).
+Sampling is pipelined in blocks bounded in bytes: a block holds the largest
+power of two of matrices, at most a chunk's 4096, whose complex entries fit in
+640 KiB, so 4096 matrices while K * N <= 10, 2048 at (2, 10), 1024 at (4, 10)
+and (6, 6), 256 at (3, 40) and 64 at (4, 100), and blocks tile every full
+chunk.  The calling process draws a 4096-matrix chunk's real parts into one
+reused buffer, then forms the chunk's complex matrices one block at a time:
+it copies a block's real parts into a free buffer of a ring of three, draws
+the block's imaginary parts into the chunk buffer over the real parts just
+copied, and scales by sqrt(0.5).  The imaginary parts of a chunk follow its
+real parts in the stream whatever block they are drawn in, and every block's
+statistics land at the same offsets, so the sample is bit for bit the serial
+one for every (seed, partitions).
 
 The statistic (Gram product and LAPACK eigensolve) is shared with one forked
 helper process; the ring and the values array live in anonymous shared
@@ -29,8 +30,8 @@ memory mapped before the fork.  After forming a block the caller reads the
 helper's waiting acknowledgements; while the helper holds fewer than two
 blocks it sends it the block's (slot, offset, count) through a pipe, and
 otherwise it solves the block itself, in place, as it does the sample's last
-block.  Both cores stay busy: per 1e5 samples the helper solved 61 of 98
-blocks at (6, 6), where the eigensolves are the bound, and 270 of 317 at
+block.  Both cores stay busy: per 1e5 samples the helper solved 56-65 of 98
+blocks at (6, 6), where the eigensolves are the bound, and 318-353 of 391 at
 (3, 40), where the draws are.  Either process runs the same code on the same
 matrix, so no value depends on which one solved it.  It is a process and not
 a thread because numpy's OpenBLAS serialises concurrent eigensolves within a
@@ -61,7 +62,7 @@ from typing import IO
 import numpy as np
 
 from .backends import EigensolverError, get_backend
-from .coefficients import ConsistencyError
+from .coefficients import ConsistencyError, _check_shape
 from .distributions import SleDistribution
 
 __all__ = [
@@ -80,12 +81,9 @@ GENERATOR_NAME = "Philox"
 # Matrices drawn per chunk.  This defines the stream: all real parts of a chunk
 # are drawn before all its imaginary parts, so changing it changes every sample.
 _CHUNK = 4096
-# At most this many matrices per Gram product and eigensolve inside
-# sle_statistic, and per block that sample_sle forms.
-_STATISTIC_BLOCK = 1024
-# At most this many bytes of complex128 entries per block: a 1024-matrix block
-# at K*N = 40.  Bounds the complex buffers and the statistic's temporaries at
-# large K*N; the block size does not affect the values.
+# At most this many bytes of complex128 entries per block, in sample_sle and
+# per Gram product and eigensolve: a 1024-matrix block at K*N = 40.  Bounds the
+# buffers and the statistic's temporaries; the block size affects no value.
 _BLOCK_BYTES = 640 * 1024
 # Blocks the helper process may hold at once, the one it is solving included.
 # At 1 the caller solves whenever the helper is busy: 1e5 samples at (3,40),
@@ -106,10 +104,7 @@ class SimulationConfig:
     partitions: int = 1
 
     def __post_init__(self):
-        if self.K < 2:
-            raise ValueError(f"K must be at least 2, got {self.K}")
-        if self.N < self.K:
-            raise ValueError(f"N must be at least K, got K={self.K}, N={self.N}")
+        _check_shape(self.K, self.N)
         if self.samples < 1:
             raise ValueError(f"need at least one sample, got {self.samples}")
         if not 0 <= self.seed < 2**64:
@@ -148,8 +143,10 @@ class EmpiricalSample:
 
 
 def _block_size(K: int, N: int) -> int:
-    """Matrices per block for K x N complex matrices."""
-    return max(1, min(_STATISTIC_BLOCK, _BLOCK_BYTES // (16 * K * N)))
+    """Matrices per block for K x N complex matrices: the largest power of two
+    that fits in ``_BLOCK_BYTES``, at most ``_CHUNK``, so blocks tile every full chunk."""
+    fits = max(1, _BLOCK_BYTES // (16 * K * N))
+    return min(_CHUNK, 1 << (fits.bit_length() - 1))
 
 
 def sle_statistic(Z: np.ndarray) -> np.ndarray:
@@ -265,12 +262,12 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     Partition p consumes the p-th child of SeedSequence(seed), so the result
     depends on (seed, partitions) and on nothing else.  The calling process
     draws in stream order and forms the matrices one block of
-    ``_block_size(K, N)`` matrices, at most 640 KiB, at a time.  It hands a
-    formed block to a forked helper process while the helper holds fewer than
-    two, and otherwise solves the block itself; it always solves the last one.
-    The blocks and the values live in shared memory.  Off Linux, without
-    ``os.fork``, beside another Python thread, or when the sample fits in one
-    block, the caller solves every block, with the same bits.
+    ``_block_size(K, N)`` matrices, a power of two within 640 KiB, at a time.
+    It hands a formed block to a forked helper process while the helper holds
+    fewer than two, and otherwise solves the block itself; it always solves
+    the last one.  The blocks and the values live in shared memory.  Off
+    Linux, without ``os.fork``, beside another Python thread, or when the
+    sample fits in one block, the caller solves every block, with the same bits.
     """
     K, N = config.K, config.N
     size = _block_size(K, N)
@@ -325,8 +322,6 @@ def ks_distance(sample: EmpiricalSample, d: SleDistribution) -> float:
     """
     v = sample.values
     n = v.size
-    if n == 0:
-        raise ValueError("empty sample")
     F = d.cdf.eval_many(v)
     i = np.arange(n)
     lower = np.max(F - i / n)

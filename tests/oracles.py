@@ -1,9 +1,9 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
 the exponential-polynomial ring with the moments L_a and the K = 4 determinant
-in it, the moments and the mass check summed one Fraction per term, the PDF
-and CDF assembly on Fractions, the float models' arrays built with numpy, a
-float evaluation dispatch with one mask per segment, and the serial Monte
-Carlo sampler.
+in it, a determinant by Fraction elimination, the moments and the mass check
+summed one Fraction per term, the PDF and CDF assembly on Fractions, the float
+models' arrays built with numpy, a float evaluation dispatch with one mask per
+segment, and the serial Monte Carlo sampler.
 
 sledist builds every table with the Hankel determinant engine on plain
 integers; these printed formulas and ring expansions are an independent
@@ -11,6 +11,8 @@ derivation that the tests compare it against.  The mask dispatch, with one
 barycentric block per 4096 points of a segment, gives the floats that warm
 evaluation must reproduce bit for bit.  The serial sampler pins the Monte
 Carlo stream that the pipelined ``sample_sle`` must reproduce bit for bit.
+The Fraction elimination takes Khatri's constant term det[(N-K+i+j-2)!]
+without the engine's fraction-free Bareiss.
 The Fraction moment sums give the exact values that the integer sums of
 ``sle_moment``, ``lambda1_moment`` and ``CoefficientTable.normalization``
 must equal, and the Fraction PDF and CDF assembly gives the segments that the
@@ -249,6 +251,25 @@ def five_product_k4(N: int) -> ExpPolySum:
     )
 
 
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination on Fractions, swapping in a lower row at a zero pivot."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1 :]:
+            f = row[k] / m[k][k]
+            for c in range(k + 1, len(m)):
+                row[c] -= f * m[k][c]
+    return det
+
+
 # ---------------------------------------------------------------------------
 # moments and the mass check, one Fraction per table entry or coefficient
 
@@ -459,11 +480,11 @@ def eval_reference(pw, x: float) -> float:
     return float(eval_many_reference(pw, np.array([float(x)]))[0])
 
 
-def quantile_reference(d, p: float) -> float:
+def quantile_reference(d, p: float, xtol: float = 1e-12) -> float:
     """``quantile``'s bisection for 0 < p < 1, on :func:`eval_reference`."""
     lo, hi = 1.0, float(d.K)
     for _ in range(200):
-        if hi - lo <= 1e-12:
+        if hi - lo <= xtol:
             break
         mid = 0.5 * (lo + hi)
         if eval_reference(d.cdf, mid) < p:

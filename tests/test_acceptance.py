@@ -16,6 +16,7 @@ import pytest
 
 from sledist import (
     coefficient_table,
+    d_constant,
     lambda1_moment,
     ks_distance,
     quantile,
@@ -29,8 +30,8 @@ from sledist import (
 from sledist.coefficients import _det_bareiss, _l_moment
 from sledist.exact import Polynomial
 
-from conftest import EXACT_CONFIGS, MC_CONFIGS, cached_dist, cached_table
-from oracles import as_exppoly, closed_form_k2, closed_form_k3, five_product_k4
+from conftest import EXACT_CONFIGS, MC_CONFIGS, MOMENT_CONFIGS, cached_dist, cached_table
+from oracles import as_exppoly, closed_form_k2, closed_form_k3, five_product_k4, fraction_det
 
 
 def test_acceptance_density_normalization_exact():
@@ -76,6 +77,39 @@ def test_acceptance_cdf_pdf_calculus_consistency():
         assert len(d.cdf.segments) == len(d.pdf.segments) == K - 1, (K, N)
         for cseg, pseg in zip(d.cdf.segments, d.pdf.segments):
             assert cseg.derivative() == pseg, (K, N)
+
+
+def _root_order(coeffs: list[int], r: int) -> int:
+    """Multiplicity of x = r as a root of sum_k coeffs[k] x^k, by exact synthetic division."""
+    order = 0
+    while True:
+        acc, quotient = 0, []  # Horner from the top: the partial sums are the quotient's coefficients
+        for c in reversed(coeffs):
+            acc = acc * r + c
+            quotient.append(acc)
+        if acc:
+            return order
+        coeffs = quotient[-2::-1]
+        order += 1
+
+
+def test_acceptance_density_zero_orders_at_the_support_ends():
+    # neither unit mass, continuity nor the moment identity pins how fast the density vanishes
+    for K, N in MOMENT_CONFIGS:  # EXACT_CONFIGS and four more
+        segments = cached_dist(K, N).pdf.segments
+        first, _ = segments[0].integer_form()
+        last, _ = segments[-1].integer_form()
+        assert _root_order(list(first), 1) == K * K - 2, (K, N)
+        assert _root_order(list(last), K) == (K - 1) * (N - 1) - 1, (K, N)
+
+
+def test_acceptance_khatri_constant_term():
+    # Khatri (1964): the CDF of lambda_max is det[gamma(N-K+i+j-1, x)] over prod (N-i)!(K-i)!,
+    # so its constant term det[(N-K+i+j-2)!] meets the table's normalization by another route
+    for K in range(2, 11):
+        for N in range(K, K + 5):
+            hankel = [[math.factorial(N - K + i + j - 2) for j in range(1, K + 1)] for i in range(1, K + 1)]
+            assert fraction_det(hankel) == 1 / d_constant(K, N), (K, N)
 
 
 def test_acceptance_monte_carlo_goodness_of_fit():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sledist import EigensolverError, get_backend
+from sledist import EigensolverError
+from sledist.backends import get_backend
 
 
 def test_numpy_backend_always_available():

@@ -287,6 +287,13 @@ def test_density_nonnegative_on_grid(K, N, points):
 # --- table validation and serialization --------------------------------------
 
 
+def test_index_bound_keeps_every_pdf_exponent_nonnegative():
+    # build_sle_pdf raises x^j (K/i - x)^e with e = KN - j - 2, so j <= index_upper must give e >= 0
+    for K in range(2, 45):
+        for N in range(K, 2000 // K + 1):
+            assert all(K * N - index_upper(K, i, N) - 2 >= 0 for i in range(1, K + 1)), (K, N)
+
+
 def test_scaled_table_rejected():
     t = cached_table(2, 4)
     doubled = {k: 2 * v for k, v in t.entries.items()}

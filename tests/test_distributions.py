@@ -797,6 +797,26 @@ def test_quantile_and_threshold_match_bisection_on_the_reference(K, N):
             assert threshold_for_false_alarm(d, alpha) == quantile_reference(d, 1.0 - alpha)
 
 
+@pytest.mark.parametrize(
+    "K,N,t,side",
+    [(4, 10, 1, math.inf), (8, 8, 5, math.inf), (5, 9, 2, -math.inf), (9, 10, 4, -math.inf)],
+)
+def test_bisection_to_adjacent_doubles_beside_a_breakpoint_matches_the_reference(
+    K, N, t, side, monkeypatch
+):
+    # with p one ulp past breakpoint t's level, away from `side`, the reading at
+    # nextafter(float(b), side) lies across p from the level, and bisection run to
+    # adjacent doubles ends there: a breakpoint margin of zero would decide that
+    # midpoint from the level and end on the other side of the breakpoint
+    d = cached_dist(K, N)
+    beside = math.nextafter(d._break_xs[t], side)
+    p = math.nextafter(d._break_levels[t], -side)
+    want = quantile_reference(d, p, xtol=0.0)
+    assert want == beside
+    monkeypatch.setattr(distributions, "_QUANTILE_XTOL", 0.0)
+    assert quantile(d, p) == want
+
+
 @pytest.mark.parametrize("K,N", [(2, 10), (4, 40), (8, 8)])
 @pytest.mark.parametrize("cold", [False, True])
 @pytest.mark.parametrize("offset", [distributions._PROBE_OFFSET, 0.5])

@@ -101,10 +101,10 @@ def test_partitions_cover_all_samples():
     [
         (2, 10, 9000, 1),  # three chunks, the last one partial
         (3, 40, 4096, 1),  # exactly one chunk
-        (3, 40, 6144, 1),  # a chunk and a half: two blocks in the last chunk
-        (3, 40, 500, 1),  # shorter than one block
-        (3, 40, 4444, 1),  # 341-matrix blocks, which do not divide a chunk
-        (4, 100, 5000, 2),  # 102-matrix blocks, two partitions
+        (3, 40, 6144, 1),  # a chunk and a half: eight blocks in the last chunk
+        (3, 40, 500, 1),  # shorter than one chunk: two blocks, the last one partial
+        (3, 40, 4444, 1),  # 256-matrix blocks, the last one partial
+        (4, 100, 5000, 2),  # 64-matrix blocks, two partitions
         (4, 10, 10001, 3),
         (6, 6, 1, 1),
         (2, 10, 401, 7),
@@ -142,6 +142,14 @@ def test_sampler_blocks_are_bounded_in_bytes():
     finally:
         tracemalloc.stop()
     assert peak <= 4096 * K * N * 8 + 4 * 2**20
+
+
+def test_block_size_is_a_power_of_two_that_tiles_a_chunk_within_the_byte_budget():
+    for K in range(2, 45):
+        for N in range(K, 2000 // K + 1):
+            size = montecarlo._block_size(K, N)
+            assert size & (size - 1) == 0 and montecarlo._CHUNK % size == 0, (K, N)
+            assert size == 1 or 16 * K * N * size <= montecarlo._BLOCK_BYTES, (K, N)
 
 
 def test_stream_unchanged_under_frequent_thread_switches():
