@@ -4,8 +4,12 @@
 
 Each argv runs in a fresh ``python -m sledist.cli`` process that imports
 sledist from CHECKOUT/src (default: the checkout holding this script).  A line
-is the SHA-256 of the run's stdout, stderr and exit code, then the argv.  Two
-checkouts that must print the same bytes give the same lines:
+is the SHA-256 of the run's stdout, stderr and exit code, then the argv.  A
+``validate`` run also writes ``--out`` into a temporary directory, and its
+digest covers the sample CSV and its ``.meta.json`` as well; the CSV holds each
+value's shortest round-trip repr, so equal digests mean equal samples bit for
+bit.  The printed argv leaves the temporary path out.  Two checkouts that must
+print the same bytes give the same lines:
 
     python bench/cli_digests.py ../parent > parent.txt
     python bench/cli_digests.py . > change.txt
@@ -19,6 +23,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SHAPES = [(2, 3), (2, 10), (4, 10), (6, 6), (8, 8), (9, 10), (3, 40), (4, 40), (4, 47), (4, 59), (4, 100), (2, 300)]
@@ -35,11 +40,17 @@ COMMANDS = [
 
 def digest(checkout: Path, argv: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "sledist.cli", *argv], cwd=checkout, env=env, capture_output=True
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = [Path(tmp, "sample.csv"), Path(tmp, "sample.csv.meta.json")]
+        out = ["--out", str(outputs[0])] if argv[0] == "validate" else []
+        run = subprocess.run(
+            [sys.executable, "-m", "sledist.cli", *argv, *out], cwd=checkout, env=env, capture_output=True
+        )
+        parts = [run.stdout, run.stderr, str(run.returncode).encode()]
+        if out:
+            parts += [path.read_bytes() if path.exists() else b"" for path in outputs]
     h = hashlib.sha256()
-    for part in (run.stdout, run.stderr, str(run.returncode).encode()):
+    for part in parts:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
     return h.hexdigest()

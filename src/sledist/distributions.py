@@ -885,6 +885,9 @@ def threshold_for_false_alarm(d: SleDistribution, alpha: float) -> float:
     """Detection threshold t with P(X > t) = alpha."""
     if math.isnan(alpha) or not 0 < alpha < 1:
         raise ValueError(f"false-alarm rate must lie strictly in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        # quantile(d, 1.0) is K, where P(X > K) = 0
+        raise ValueError(f"false-alarm rate {alpha} is too small: 1 - alpha rounds to 1")
     return quantile(d, 1.0 - alpha)
 
 

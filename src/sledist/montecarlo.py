@@ -32,8 +32,11 @@ blocks it sends it the block's (slot, offset, count) through a pipe, and
 otherwise it solves the block itself, in place, as it does the sample's last
 block.  Both cores stay busy: per 1e5 samples the helper solved 56-65 of 98
 blocks at (6, 6), where the eigensolves are the bound, and 318-353 of 391 at
-(3, 40), where the draws are.  Either process runs the same code on the same
-matrix, so no value depends on which one solved it.  It is a process and not
+(3, 40), where the draws are.  Both processes run one ``solve`` closure on the
+same matrix, so no value depends on which one solved it.  The helper only
+speeds the sample up: if it fails or dies, it exits, and the caller solves
+the blocks it still held, so an error is raised only by the caller's own
+call, with the type and message of the serial path.  It is a process and not
 a thread because numpy's OpenBLAS serialises concurrent eigensolves within a
 process: on a 2-core host, 48 (6,6) blocks of 1024 Gram matrices took
 0.20-0.32 s on one thread and the same split over two, while 98 (4,10) blocks
@@ -50,18 +53,17 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 import select
 import struct
 import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
-from .backends import EigensolverError, get_backend
+from .backends import get_backend
 from .coefficients import ConsistencyError, _check_shape
 from .distributions import SleDistribution
 
@@ -172,16 +174,22 @@ def sle_statistic(Z: np.ndarray) -> np.ndarray:
 
 
 class _Helper:
-    """A forked process that solves blocks of the shared ring into the shared values.
+    """A forked process that runs the caller's ``solve(slot, offset, count)``.
 
-    The caller writes one (slot, offset, count) request per block to a pipe;
-    the helper answers each with a zero byte on a second pipe, in order.  A
-    failure is answered with a one byte and the pickled exception, and the
-    helper exits.  It exits as well when the request pipe reaches its end.
+    The caller writes one request per block to a pipe; the helper runs
+    ``solve`` on it and answers with a zero byte on a second pipe, in order.
+    It exits at the end of the requests, and on any failure.  When the caller
+    reads the end of the answers it solves the requests still queued with the
+    same ``solve`` and offers nothing more, so a helper that fails or dies
+    leaves every value as the caller alone would compute it, and a failure
+    that is not the helper's own is raised by the caller's call.  The caller
+    holds the request pipe's read end until :meth:`close`, so a request
+    written after the helper died waits in the pipe instead of raising.
     """
 
-    def __init__(self, values: np.ndarray, ring: np.ndarray):
-        requests, self._requests = os.pipe()
+    def __init__(self, solve: Callable[[int, int, int], None]):
+        self._solve = solve
+        self._pending, self._requests = os.pipe()
         self._acks, acks = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
@@ -189,20 +197,24 @@ class _Helper:
             try:
                 os.close(self._requests)
                 os.close(self._acks)
-                _serve(requests, acks, values, ring)
+                # requests are written whole and are shorter than PIPE_BUF, so a
+                # read returns one whole request or, at the end, nothing
+                while request := os.read(self._pending, _REQUEST.size):
+                    solve(*_REQUEST.unpack(request))
+                    os.write(acks, b"\0")
             finally:
                 os._exit(0)
-        os.close(requests)
         os.close(acks)
-        self.queued: deque[int] = deque()  # ring slots submitted and not acknowledged
+        self._alive = True
+        self.queued: deque[tuple[int, int, int]] = deque()  # submitted, not acknowledged
 
     def offer(self, slot: int, offset: int, count: int) -> bool:
-        """Submit the block in ``slot`` unless the helper already holds a full queue."""
+        """Submit the block in ``slot`` unless the helper is gone or holds a full queue."""
         self._retire(wait=False)
-        if len(self.queued) >= _HELPER_DEPTH:
+        if not self._alive or len(self.queued) >= _HELPER_DEPTH:
             return False
         os.write(self._requests, _REQUEST.pack(slot, offset, count))
-        self.queued.append(slot)
+        self.queued.append((slot, offset, count))
         return True
 
     def drain(self) -> None:
@@ -212,37 +224,22 @@ class _Helper:
     def close(self) -> None:
         # the helper sees the end of its requests, or a broken ack pipe, and exits
         os.close(self._requests)
+        os.close(self._pending)
         os.close(self._acks)
         os.waitpid(self.pid, 0)
 
     def _retire(self, wait: bool) -> None:
-        if not wait and not select.select([self._acks], [], [], 0)[0]:
+        # with nothing queued there is nothing to retire; a death shows after the next request
+        if not self.queued or not wait and not select.select([self._acks], [], [], 0)[0]:
             return
-        data = os.read(self._acks, 4096)
-        if not data:
-            raise EigensolverError("the sampling helper process exited without a result")
-        done = len(data) - len(data.lstrip(b"\0"))
+        done = len(os.read(self._acks, 4096))
+        if not done:
+            # the helper is gone: its blocks come back to the caller
+            self._alive = False
+            while self.queued:
+                self._solve(*self.queued.popleft())
         for _ in range(done):
             self.queued.popleft()
-        if done < len(data):
-            while more := os.read(self._acks, 4096):
-                data += more
-            raise pickle.loads(data[done + 1 :])
-
-
-def _serve(requests: int, acks: int, values: np.ndarray, ring: np.ndarray) -> None:
-    """The helper's loop: solve each requested block until the requests end."""
-    try:
-        # requests are written whole and are shorter than PIPE_BUF, so a read
-        # returns one whole request or, at the end, nothing
-        while request := os.read(requests, _REQUEST.size):
-            slot, offset, count = _REQUEST.unpack(request)
-            values[offset : offset + count] = sle_statistic(ring[slot, :count])
-            os.write(acks, b"\0")
-    except Exception as exc:
-        # one that pickle cannot take ends the helper without a message, which
-        # the caller reports as an EigensolverError
-        os.write(acks, b"\1" + pickle.dumps(exc))
 
 
 def _shared(dtype, shape: tuple[int, ...]) -> np.ndarray:
@@ -265,7 +262,9 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     ``_block_size(K, N)`` matrices, a power of two within 640 KiB, at a time.
     It hands a formed block to a forked helper process while the helper holds
     fewer than two, and otherwise solves the block itself; it always solves
-    the last one.  The blocks and the values live in shared memory.  Off
+    the last one.  The blocks and the values live in shared memory.  A helper
+    that fails or dies hands its blocks back to the caller, so the sample is
+    complete and the same bits, and only the caller's own solve raises.  Off
     Linux, without ``os.fork``, beside another Python thread, or when the
     sample fits in one block, the caller solves every block, with the same bits.
     """
@@ -276,7 +275,11 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
     values = _shared(np.float64, (config.samples,))
     # one block buffer per block the helper may hold, and one being formed
     ring = _shared(np.complex128, (_HELPER_DEPTH + 1, min(size, config.samples), K, N))
-    helper = _Helper(values, ring) if config.samples > size and _can_fork() else None
+
+    def solve(slot: int, offset: int, count: int) -> None:
+        values[offset : offset + count] = sle_statistic(ring[slot, :count])
+
+    helper = _Helper(solve) if config.samples > size and _can_fork() else None
     queued = () if helper is None else helper.queued
     try:
         # a chunk's real parts; each block's imaginary parts are then drawn
@@ -294,7 +297,8 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
                 for first in range(0, m, size):
                     part = reals[first : first + size]
                     n = len(part)
-                    slot = next(s for s in range(len(ring)) if s not in queued)
+                    busy = [request[0] for request in queued]
+                    slot = next(s for s in range(len(ring)) if s not in busy)
                     # the bits of (a + 1j*b) * sqrt(0.5)
                     Z = ring[slot, :n]
                     Z.real = part
@@ -303,7 +307,7 @@ def sample_sle(config: SimulationConfig) -> EmpiricalSample:
                     at = start + first
                     # the caller would only wait after the last block, so it solves that one
                     if at + n == config.samples or helper is None or not helper.offer(slot, at, n):
-                        values[at : at + n] = sle_statistic(Z)
+                        solve(slot, at, n)
             offset = end
         if helper is not None:
             helper.drain()

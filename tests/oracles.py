@@ -1,9 +1,9 @@
 """Test oracles: the paper's closed-form coefficient tables for K = 2 and K = 3,
-the exponential-polynomial ring with the moments L_a and the K = 4 determinant
-in it, a determinant by Fraction elimination, the moments and the mass check
-summed one Fraction per term, the PDF and CDF assembly on Fractions, the float
-models' arrays built with numpy, a float evaluation dispatch with one mask per
-segment, and the serial Monte Carlo sampler.
+the exponential-polynomial ring with the moments L_a, the K = 4 determinant and
+Khatri's density in it, a determinant by Fraction elimination, the moments
+and the mass check summed one Fraction per term, the PDF and CDF assembly on
+Fractions, the float models' arrays built with numpy, a float evaluation
+dispatch with one mask per segment, and the serial Monte Carlo sampler.
 
 sledist builds every table with the Hankel determinant engine on plain
 integers; these printed formulas and ring expansions are an independent
@@ -12,7 +12,9 @@ barycentric block per 4096 points of a segment, gives the floats that warm
 evaluation must reproduce bit for bit.  The serial sampler pins the Monte
 Carlo stream that the pipelined ``sample_sle`` must reproduce bit for bit.
 The Fraction elimination takes Khatri's constant term det[(N-K+i+j-2)!]
-without the engine's fraction-free Bareiss.
+without the engine's fraction-free Bareiss, and Khatri's determinant of
+incomplete gamma functions, expanded in the ring, gives the density's table
+at any K without the engine's Hankel determinant.
 The Fraction moment sums give the exact values that the integer sums of
 ``sle_moment``, ``lambda1_moment`` and ``CoefficientTable.normalization``
 must equal, and the Fraction PDF and CDF assembly gives the segments that the
@@ -172,6 +174,10 @@ class ExpPolySum:
     def terms(self) -> dict[int, Polynomial]:
         return dict(self._terms)
 
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero coefficient of ``x^j exp(-m*x)`` at ``(m, j)``, as a table's entries are keyed."""
+        return {(m, j): c for m, p in self._terms.items() for j, c in enumerate(p.coefficients) if c}
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExpPolySum):
             return self._terms == other._terms
@@ -249,6 +255,42 @@ def five_product_k4(N: int) -> ExpPolySum:
         - L[N - 1] * L[N - 1] * L[N - 4]
         - L[N - 2] * L[N - 2] * L[N - 2]
     )
+
+
+def _lower_gamma(n: int) -> ExpPolySum:
+    """gamma(n, x) = int_0^x t^(n-1) e^(-t) dt = (n-1)! - e^(-x) sum_{k<n} (n-1)!/k! x^k."""
+    f = _fact(n - 1)
+    return ExpPolySum({0: Polynomial([f]), 1: Polynomial([-(f // _fact(k)) for k in range(n)])})
+
+
+def khatri_density(K: int, N: int) -> ExpPolySum:
+    """The density of lambda_max as G'(x), from Khatri's CDF of the largest eigenvalue.
+
+    Khatri (1964): G(x) = det[gamma(N-K+i+j-1, x)]_{i,j=1..K} / prod_i (N-i)!(K-i)!.
+    The determinant is expanded along its rows, each minor memoized by its set
+    of free columns (2^K minors), and differentiated term by term,
+    d/dx e^(-mx) p = e^(-mx) (p' - m p).  Nothing here comes from the engine.
+    """
+    gammas = [[_lower_gamma(N - K + i + j - 1) for j in range(1, K + 1)] for i in range(1, K + 1)]
+    minors = {0: ExpPolySum({0: Polynomial([1])})}
+
+    def minor(free: int) -> ExpPolySum:
+        # the rows below K - |free| on the columns in the bit set `free`
+        if free not in minors:
+            row = gammas[K - free.bit_count()]
+            total, sign = ExpPolySum(), 1
+            for c in range(K):
+                if free >> c & 1:
+                    term = row[c] * minor(free & ~(1 << c))
+                    total = total + term if sign > 0 else total - term
+                    sign = -sign
+            minors[free] = total
+        return minors[free]
+
+    G = minor((1 << K) - 1)
+    norm = math.prod(_fact(N - i) * _fact(K - i) for i in range(1, K + 1))
+    density = ExpPolySum({m: p.derivative() + scale(p, -m) for m, p in G.terms.items()})
+    return density.scale(Fraction(1, norm))
 
 
 def fraction_det(rows) -> Fraction:

@@ -33,16 +33,17 @@ def sub(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    a, b = p.coefficients, q.coefficients
+    # on the integer forms: A/D * B/E = (A * B)/(D * E)
+    (a, d), (b, e) = p.integer_form(), q.integer_form()
     if not a or not b:
         return Polynomial()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return Polynomial(out)
+    return Polynomial.from_integers(out, d * e)
 
 
 def shift_powers(p: Polynomial, k: int) -> Polynomial:

@@ -31,7 +31,17 @@ from sledist.coefficients import _det_bareiss, _l_moment
 from sledist.exact import Polynomial
 
 from conftest import EXACT_CONFIGS, MC_CONFIGS, MOMENT_CONFIGS, cached_dist, cached_table
-from oracles import as_exppoly, closed_form_k2, closed_form_k3, five_product_k4, fraction_det
+from oracles import (
+    as_exppoly,
+    closed_form_k2,
+    closed_form_k3,
+    five_product_k4,
+    fraction_det,
+    khatri_density,
+)
+
+# shapes above K = 4, where no closed form holds the table; bench/khatri_tables.py takes larger ones
+KHATRI_CONFIGS = [(5, N) for N in range(5, 10)] + [(6, 6), (6, 12), (5, 20), (7, 7)]
 
 
 def test_acceptance_density_normalization_exact():
@@ -110,6 +120,13 @@ def test_acceptance_khatri_constant_term():
         for N in range(K, K + 5):
             hankel = [[math.factorial(N - K + i + j - 2) for j in range(1, K + 1)] for i in range(1, K + 1)]
             assert fraction_det(hankel) == 1 / d_constant(K, N), (K, N)
+
+
+def test_acceptance_khatri_density_equals_the_table():
+    # the density G'(x) of Khatri's determinant, derived without the Hankel engine
+    for K, N in KHATRI_CONFIGS:
+        nonzero = {ij: c for ij, c in cached_table(K, N).entries.items() if c}
+        assert nonzero == khatri_density(K, N).entries(), (K, N)
 
 
 def test_acceptance_monte_carlo_goodness_of_fit():

@@ -209,6 +209,9 @@ def test_domain_error_exits_1(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run_cli(["coeffs", "--K", "5", "--N", "3"], capsys)
     assert code == 1 and "error:" in err
+    # 1 - alpha rounds to 1, where the threshold would read K
+    code, out, err = run_cli(["threshold", "--K", "4", "--N", "10", "--alpha", "1e-17"], capsys)
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_resource_limit_exits_2(capsys):

@@ -338,6 +338,47 @@ def test_scaled_distribution_with_derived_cdf_rejected():
         SleDistribution(table=d.table, pdf=doubled, cdf=cdf)
 
 
+def _cdf_plus(d, add, segments):
+    """``d``'s PDF, and its CDF with ``add(b_t, b_t+1)`` added to each segment t in ``segments``."""
+    bps = d.cdf.breakpoints
+    segs = [seg + add(bps[t], bps[t + 1]) if t in segments else seg for t, seg in enumerate(d.cdf.segments)]
+    return {"pdf": d.pdf, "cdf": PiecewisePolynomial(bps, segs, 0, 1)}
+
+
+def _constant(lo, hi):
+    return Polynomial([F(1, 7)])
+
+
+def _vanishing_at_the_ends(lo, hi):
+    # (x - lo)(x - hi) / 7 keeps the segment's values at both breakpoints
+    return Polynomial([lo * hi / 7, -(lo + hi) / 7, F(1, 7)])
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (
+            lambda d: {"pdf": PiecewisePolynomial(d.pdf.breakpoints[:3], d.pdf.segments[:2]), "cdf": d.cdf},
+            r"PDF span 1\.\.2 is not \[1, 4\]",
+        ),
+        (
+            lambda d: {"pdf": d.pdf, "cdf": PiecewisePolynomial((1, F(3, 2), 2, 4), d.cdf.segments, 0, 1)},
+            "PDF and CDF disagree on breakpoints",
+        ),
+        (lambda d: _cdf_plus(d, _constant, {0, 1, 2}), "CDF is nonzero at the lower support endpoint"),
+        (lambda d: _cdf_plus(d, _constant, {2}), "CDF does not reach 1 at the upper support endpoint"),
+        (lambda d: _cdf_plus(d, _vanishing_at_the_ends, {1}), "CDF derivative differs from PDF on segment 1"),
+        (lambda d: _cdf_plus(d, _constant, {1}), "CDF jumps at breakpoint 4/3"),
+    ],
+    ids=["span", "breakpoints", "lower-end", "upper-end", "derivative", "jump"],
+)
+def test_each_distribution_check_raises_its_own_message(tamper, message):
+    # each tampering passes every check before the one it targets
+    d = cached_dist(4, 10)
+    with pytest.raises(ConsistencyError, match=message):
+        SleDistribution(table=d.table, **tamper(d))
+
+
 # --- float evaluation -------------------------------------------------------------
 
 
@@ -743,6 +784,16 @@ def test_quantile_domain_errors():
         threshold_for_false_alarm(d, 0.0)
     with pytest.raises(ValueError):
         threshold_for_false_alarm(d, 1.0)
+
+
+def test_threshold_rejects_alpha_where_one_minus_alpha_rounds_to_one():
+    # at these 1.0 - alpha == 1.0, and the threshold would read K
+    d = cached_dist(4, 10)
+    for alpha in (2.0**-54, 1e-17):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            threshold_for_false_alarm(d, alpha)
+    for alpha in (1e-16, math.nextafter(2.0**-54, 1.0)):
+        assert threshold_for_false_alarm(d, alpha) == 3.646377754910077
 
 
 def test_threshold_complements_quantile():
