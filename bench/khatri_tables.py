@@ -1,16 +1,15 @@
 """Khatri's determinant against the engine's coefficient tables at larger K.
 
-    python bench/khatri_tables.py [--shape K,N ...]
+    python bench/khatri_tables.py
 
 For each shape, the density G'(x) of Khatri's CDF of the largest eigenvalue
 (``tests/oracles.py``, ``khatri_density``) is compared with
 ``coefficient_table(K, N)``, nonzero entry for nonzero entry, as Fractions.
 Prints one line per shape with both build times, and exits 1 on any mismatch.
 The tier-1 acceptance test covers K <= 7; this script takes the shapes that
-are too slow for it.  ``--shape`` replaces the default shapes; it may repeat.
+are too slow for it.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -25,13 +24,8 @@ SHAPES = [(8, 8), (9, 9), (10, 10)]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--shape", action="append", type=lambda s: tuple(map(int, s.split(","))), help="K,N"
-    )
-    shapes = parser.parse_args().shape or SHAPES
     failed = 0
-    for K, N in shapes:
+    for K, N in SHAPES:
         began = time.perf_counter()
         table = {ij: c for ij, c in coefficient_table(K, N).entries.items() if c}
         engine_s = time.perf_counter() - began

@@ -792,8 +792,12 @@ def test_threshold_rejects_alpha_where_one_minus_alpha_rounds_to_one():
     for alpha in (2.0**-54, 1e-17):
         with pytest.raises(ValueError, match="rounds to 1"):
             threshold_for_false_alarm(d, alpha)
-    for alpha in (1e-16, math.nextafter(2.0**-54, 1.0)):
-        assert threshold_for_false_alarm(d, alpha) == 3.646377754910077
+    assert threshold_for_false_alarm(d, 1e-16) == 3.646377754910077
+    # just above the guard 1.0 - alpha rounds to 1 - 2**-53, so the answer is
+    # only as close as that rounding allows, but it lies below K
+    alpha = math.nextafter(2.0**-54, 1.0)
+    t = threshold_for_false_alarm(d, alpha)
+    assert t < d.table.K and t == quantile(d, 1.0 - alpha)
 
 
 def test_threshold_complements_quantile():

@@ -154,9 +154,10 @@ def test_block_size_is_a_power_of_two_that_tiles_a_chunk_within_the_byte_budget(
 
 
 def test_stream_unchanged_under_frequent_thread_switches():
-    # the helper process writes into the shared values array while the caller
-    # draws; a value read before the helper acknowledged its block would show
-    # here, with the caller's interpreter switching threads every microsecond
+    # one more bit-for-bit run against the serial reference, at (3,5) with two
+    # partitions; the helper is a process forked while the caller is the only
+    # live thread, so the switch interval does not reach the sampler, and this
+    # test does not catch a value read before the helper acknowledged its block
     config = SimulationConfig(K=3, N=5, samples=20000, seed=99, partitions=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
